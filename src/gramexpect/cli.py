@@ -523,7 +523,11 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--decimals", type=int, default=None, metavar="K")
     sub.add_argument("--seed", type=int, default=None, metavar="S")
     sub.add_argument("--threads", type=int, default=None, metavar="W")
-    sub.add_argument("--guard-ops", type=int, default=None, metavar="B", dest="guard_ops")
+    sub.add_argument(
+        "--guard-ops", type=int, default=None, metavar="B", dest="guard_ops",
+        help="op budget checked before any work: the permanental Wick expansion in "
+        "simulate/trend, Ryser in oracle permpoly (default 10^7)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

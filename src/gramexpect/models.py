@@ -44,12 +44,25 @@ class InvalidModelError(ValueError):
     """A model definition violates its constraints (raised on load too)."""
 
 
+def _rational(value: Fraction | int | str, what: str) -> Fraction:
+    """A wire string, an int or a Fraction as a Fraction; bools and floats are refused."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InvalidModelError(f"{what} must be a rational string or an integer, got {value!r}")
+    return Fraction(value)
+
+
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _coerce_prob_vector(probs: Sequence[Fraction | int | str], what: str) -> tuple[Fraction, ...]:
     if len(probs) == 0:
         raise InvalidModelError(f"{what} must be non-empty")
     out = []
     for p in probs:
-        q = parse_rational(p) if isinstance(p, str) else Fraction(p)
+        q = _rational(p, what)
         if q < 0:
             raise InvalidModelError(f"{what} entries must be nonnegative, got {q}")
         out.append(q)
@@ -74,17 +87,14 @@ class DiscreteVectorDistribution:
         if any(len(vec) != t for vec, _ in self.atoms):
             raise InvalidModelError("atom vectors must all have the same dimension")
         probs = _coerce_prob_vector([p for _, p in self.atoms], "atom probabilities")
-        vectors = tuple(tuple(Fraction(v) for v in vec) for vec, _ in self.atoms)
+        vectors = tuple(
+            tuple(_rational(v, "atom vector entries") for v in vec) for vec, _ in self.atoms
+        )
         object.__setattr__(self, "atoms", tuple(zip(vectors, probs)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteVectorDistribution":
-        atoms = []
-        for vec, prob in pairs:
-            vector = tuple(parse_rational(v) if isinstance(v, str) else Fraction(v) for v in vec)
-            q = parse_rational(prob) if isinstance(prob, str) else Fraction(prob)
-            atoms.append((vector, q))
-        return cls(tuple(atoms))
+        return cls(tuple((tuple(vec), prob) for vec, prob in pairs))
 
     @property
     def t(self) -> int:
@@ -102,7 +112,7 @@ class MultinomialCountModel:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ell, int) or self.ell < 0:
+        if not _is_count(self.ell):
             raise InvalidModelError(f"ell must be a nonnegative integer, got {self.ell!r}")
         object.__setattr__(self, "probs", _coerce_prob_vector(self.probs, "probs"))
 
@@ -123,7 +133,7 @@ class CompoundCountModel:
         if not self.ell_law:
             raise InvalidModelError("ell_law needs at least one entry")
         ells = [e for e, _ in self.ell_law]
-        if any(not isinstance(e, int) or e < 0 for e in ells):
+        if not all(_is_count(e) for e in ells):
             raise InvalidModelError("ell_law values must be nonnegative integers")
         if len(set(ells)) != len(ells):
             raise InvalidModelError("ell_law values must be distinct")
@@ -339,7 +349,7 @@ def model_from_dict(obj: object) -> Model:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed {kind!r} model: {exc}") from exc
-    if "t" in obj and obj["t"] != model.t:
+    if "t" in obj and (not _is_count(obj["t"]) or obj["t"] != model.t):
         raise InvalidModelError(f'declared "t" = {obj["t"]} but the model has dimension {model.t}')
     return model
 

@@ -10,8 +10,10 @@ Two contracts shape the implementation:
 * Exactness. The b_i are computed exactly at any n: the nonzero spectrum
   of the n x n Gram matrix A^T A equals that of the t x t matrix A A^T, so
   power sums of the small matrix plus Newton's identities give every b_i,
-  including exact zeros past the rank. No floating-point fallback exists,
-  and the report's mode field says so.
+  including exact zeros past the rank. The d_i are computed exactly from
+  the t-dimensional columns too, by a Wick expansion whose cost is linear
+  in n at fixed t and max_index. No floating-point fallback exists, and
+  the report's mode field says so.
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
   results in index order. Reports are therefore byte-identical no matter
@@ -20,14 +22,15 @@ Two contracts shape the implementation:
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, sqrt
+from math import comb, factorial, lcm, sqrt
 from random import Random
 
 from .models import Model, moment_matrix, sample_vector
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
 from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
 from .traces import traces_by_power
@@ -129,21 +132,13 @@ class SimulationReport:
 
 
 def sample_gram(model: Model, n: int, rng: Random) -> ExactMatrix:
-    """G = A^T A for n freshly drawn columns; integer entries for count models."""
-    columns = [sample_vector(model, rng) for _ in range(n)]
-    return ExactMatrix.from_rows(_gram_entries(columns))
+    """G = A^T A for n freshly drawn columns, as an ExactMatrix of Fractions."""
+    return _gram_entries([sample_vector(model, rng) for _ in range(n)])
 
 
-def _gram_entries(columns: list[tuple]) -> list[list]:
-    n = len(columns)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ci = columns[i]
-        for j in range(i, n):
-            dot = sum(a * b for a, b in zip(ci, columns[j]))
-            out[i][j] = dot
-            out[j][i] = dot
-    return out
+def _gram_entries(columns: list[tuple]) -> ExactMatrix:
+    """The Gram matrix of the columns, by ``matrices.gram``."""
+    return gram(ExactMatrix.from_rows(zip(*columns)))
 
 
 def _elementary_from_power_sums(power_sums: list, count: int) -> list[Fraction]:
@@ -181,16 +176,147 @@ def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
     return tuple(_elementary_from_power_sums(power_sums, max_index)[1:])
 
 
+def perm_coefficient_op_cost(n: int, t: int, max_index: int) -> list[int]:
+    """Cumulative cost per index of the Wick expansion below.
+
+    Multiplying a stored degree-k polynomial, at most C(k+t-1, t-1)^2
+    terms, by l(u) l(v) takes about t^2 operations per term, and only the
+    n - k columns after the first k meet a nonempty degree-k level, so
+    cost_i = t^2 sum_{k<i} (n - k) C(k+t-1, t-1)^2.
+    """
+    costs = []
+    running = 0
+    for k in range(max_index):
+        running += (n - k) * t * t * comb(k + t - 1, t - 1) ** 2
+        costs.append(running)
+    return costs
+
+
+def perm_by_wick(n: int, t: int, max_index: int, op_budget: int) -> bool:
+    """Pick the permanental path of a run before sampling: True for Wick, False for Ryser.
+
+    The Wick expansion is the path. Its cost grows like C(i+t-1, t-1)^2, so
+    a few columns in many dimensions can overrun the budget where Ryser
+    over every principal submatrix of the n x n Gram matrix fits; Ryser
+    runs then, and no run is refused that Ryser alone would accept. Raises
+    GuardExceeded, naming the first index i over budget, when neither fits.
+    """
+    costs = perm_coefficient_op_cost(n, t, max_index)
+    if not costs or costs[-1] <= op_budget:
+        return True
+    if permanental_op_cost(n, max_index)[-1] <= op_budget:
+        return False
+    i, cost = next((i, c) for i, c in enumerate(costs, start=1) if c > op_budget)
+    raise GuardExceeded(
+        f"permanental run refused before sampling: index i = {i} at "
+        f"n = {n} needs ~{cost} ops, budget is {op_budget}"
+    )
+
+
+def _times_l_v(row: dict[int, int], terms: list[tuple[int, int]]) -> dict[int, int]:
+    """Multiply a polynomial in v by l(v) = sum_k a_k v_k."""
+    out: dict[int, int] = {}
+    for nu, coeff in row.items():
+        for unit, a in terms:
+            key = nu + unit
+            out[key] = out.get(key, 0) + a * coeff
+    return out
+
+
+def _times_pair(poly: dict, terms: list[tuple[int, int]]) -> dict:
+    """l(u) l(v) poly for poly stored as {mu: {nu: coeff}}."""
+    out: dict = {}
+    for mu, row in poly.items():
+        row = _times_l_v(row, terms)
+        for unit, a in terms:
+            target = out.setdefault(mu + unit, {})
+            for nu, coeff in row.items():
+                target[nu] = target.get(nu, 0) + a * coeff
+    return out
+
+
+def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Fraction, ...]:
+    """d_1..d_max_index of gram(columns), exactly, without forming the Gram matrix.
+
+    d_i sums perm over the i x i principal submatrices of G = A^T A. With
+    l_j(u) = sum_k a_kj u_k for column j and the linear functional
+    L(u^mu v^nu) = mu! [mu = nu] (Wick pairing of complex Gaussians),
+
+        sum_i d_i x^i = L(prod_j (1 + x l_j(u) l_j(v))).
+
+    The product is kept truncated at degree max_index, one polynomial per
+    degree k, bihomogeneous of degree (k, k), stored as {mu: {nu: coeff}}
+    with each exponent vector packed into an int of base max_index + 1
+    digits, so adding a unit exponent is integer addition. Repeated
+    columns are grouped and enter as (1 + x l(u) l(v))^c. Only the diagonal
+    mu = nu of the top degree is ever paired, so it goes straight into
+    d_max_index and is never stored. Columns are scaled by the lcm D of
+    their denominators so every coefficient is an int, and d_i is divided
+    by D^(2i) at the end. Cost: ``perm_coefficient_op_cost``.
+    """
+    if max_index == 0:
+        return ()
+    base = max_index + 1
+    scale = lcm(*(x.denominator for column in columns for x in column))
+    units = [base**k for k in range(len(columns[0]))]
+    pairing: dict[int, int] = {}
+
+    def mu_factorial(mu: int) -> int:
+        if mu not in pairing:
+            value, digits = 1, mu
+            while digits:
+                digits, exponent = divmod(digits, base)
+                value *= factorial(exponent)
+            pairing[mu] = value
+        return pairing[mu]
+
+    levels: list[dict] = [{0: {0: 1}}] + [{} for _ in range(1, max_index)]
+    top = 0
+    for column, count in Counter(columns).items():
+        terms = [(unit, int(a * scale)) for unit, a in zip(units, column) if a]
+        if not terms:
+            continue
+        # Highest source degree first: a chain from degree s writes only to
+        # degrees above s, which have already been read as sources.
+        for source in range(max_index - 1, -1, -1):
+            poly = levels[source]
+            for k in range(1, min(count, max_index - source) + 1):
+                weight = comb(count, k)
+                if source + k == max_index:
+                    for mu, row in poly.items():
+                        row = _times_l_v(row, terms)
+                        for unit, a in terms:
+                            coeff = row.get(mu + unit)
+                            if coeff:
+                                top += weight * a * coeff * mu_factorial(mu + unit)
+                    break
+                poly = _times_pair(poly, terms)
+                level = levels[source + k]
+                for mu, row in poly.items():
+                    target = level.setdefault(mu, {})
+                    for nu, coeff in row.items():
+                        target[nu] = target.get(nu, 0) + weight * coeff
+    values = [
+        sum(mu_factorial(mu) * row.get(mu, 0) for mu, row in levels[i].items())
+        for i in range(1, max_index)
+    ]
+    values.append(top)
+    return tuple(Fraction(v, scale ** (2 * i)) for i, v in enumerate(values, start=1))
+
+
 def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
-    model, n, max_index, kind, op_budget, stream_seed = args
+    model, n, max_index, kind, wick, op_budget, stream_seed = args
     rng = Random(stream_seed)
     columns = [sample_vector(model, rng) for _ in range(n)]
     det_values = perm_values = None
     if kind in ("det", "both"):
         det_values = _char_coefficient_values(columns, max_index) if n else ()
     if kind in ("perm", "both"):
-        g = ExactMatrix.from_rows(_gram_entries(columns)) if n else ExactMatrix(())
-        perm_values = permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:]
+        if wick:
+            perm_values = _perm_coefficient_values(columns, max_index)
+        else:
+            g = _gram_entries(columns)
+            perm_values = permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:]
     return det_values, perm_values
 
 
@@ -233,21 +359,19 @@ def _aggregate(
 def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_BUDGET) -> SimulationReport:
     """Run the replicates and aggregate coefficient statistics.
 
-    The permanental op budget is checked before any sampling starts, so a
-    doomed run fails immediately. ``threads`` > 1 fans replicates out to
-    worker processes; the report is identical either way.
+    The permanental path and its op budget are settled by ``perm_by_wick``
+    before any sampling starts, so a doomed run fails immediately.
+    ``threads`` > 1 fans replicates out to worker processes; the report is
+    identical either way.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if config.wants_perm and config.max_index > 0:
-        for i, cost in enumerate(permanental_op_cost(config.n, config.max_index), start=1):
-            if cost > op_budget:
-                raise GuardExceeded(
-                    f"permanental run refused before sampling: index i = {i} at "
-                    f"n = {config.n} needs ~{cost} ops, budget is {op_budget}"
-                )
+    wick = not config.wants_perm or perm_by_wick(
+        config.n, config.model.t, config.max_index, op_budget
+    )
     work = [
-        (config.model, config.n, config.max_index, config.kind, op_budget, derive_seed(config.seed, r))
+        (config.model, config.n, config.max_index, config.kind, wick, op_budget,
+         derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
     if threads == 1:

@@ -256,6 +256,21 @@ class TestModelJson:
         with pytest.raises(InvalidModelError):
             model_from_json_str('{"type":"multinomial","t":3,"ell":2,"probs":["1/2","1/2"]}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"type":"multinomial","t":2,"ell":true,"probs":["1/2","1/2"]}',
+            '{"type":"compound","t":2,"probs":["1/2","1/2"],"ell_law":[{"ell":false,"prob":"1"}]}',
+            '{"type":"atoms","t":true,"atoms":[{"vector":["1"],"prob":"1"}]}',
+            '{"type":"multinomial","t":2,"ell":2,"probs":[0.5,"1/2"]}',
+            '{"type":"atoms","t":1,"atoms":[{"vector":[1.5],"prob":"1"}]}',
+        ],
+        ids=["ell-bool", "ell-law-bool", "t-bool", "float-prob", "float-vector-entry"],
+    )
+    def test_bools_and_floats_rejected(self, text):
+        with pytest.raises(InvalidModelError):
+            model_from_json_str(text)
+
     def test_unknown_type_rejected(self):
         with pytest.raises(InvalidModelError):
             model_from_json_str('{"type":"gaussian"}')

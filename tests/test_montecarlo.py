@@ -3,6 +3,8 @@ from math import comb, sqrt
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramexpect import (
     DiscreteVectorDistribution,
@@ -21,7 +23,11 @@ from gramexpect import (
     stddev_trend,
     traces_by_power,
 )
-from gramexpect.matrices import ExactMatrix
+from gramexpect.matrices import ExactMatrix, gram
+from gramexpect.montecarlo import _perm_coefficient_values, perm_by_wick, perm_coefficient_op_cost
+from gramexpect.oracles import OP_BUDGET, permanental_op_cost
+
+from conftest import random_atoms_distribution
 
 F = Fraction
 
@@ -74,6 +80,68 @@ class TestSampleGram:
         assert all(g.entries[i][i] >= 0 for i in range(6))
 
 
+def ryser_coefficients(columns, max_index):
+    """d_1..d_max_index of the columns' Gram matrix by the Ryser oracle."""
+    g = gram(ExactMatrix.from_rows(zip(*columns)))
+    return permanental_poly_coeffs(g, max_index)[1:]
+
+
+def assert_matches_ryser(columns, max_index):
+    values = _perm_coefficient_values(columns, max_index)
+    assert values == ryser_coefficients(columns, max_index)
+    assert all(type(v) is Fraction for v in values)
+
+
+class TestPermCoefficientValues:
+    def test_seeded_paper_model_columns(self):
+        for seed in range(4):
+            rng = Random(seed)
+            columns = [sample_vector(paper_model(), rng) for _ in range(8)]
+            assert_matches_ryser(columns, 4)
+
+    def test_integer_columns_with_negatives_and_zeros(self):
+        rng = Random(7)
+        for _ in range(10):
+            t, n = rng.randint(1, 4), rng.randint(1, 7)
+            columns = [tuple(rng.randint(-3, 3) for _ in range(t)) for _ in range(n)]
+            columns[0] = (0,) * t
+            assert_matches_ryser(columns, rng.randint(1, n))
+
+    def test_rational_atom_columns(self):
+        rng = Random(8)
+        for _ in range(10):
+            t, n = rng.randint(1, 3), rng.randint(1, 6)
+            columns = [
+                tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3, 4))) for _ in range(t))
+                for _ in range(n)
+            ]
+            assert_matches_ryser(columns, n)
+
+    def test_heavily_repeated_columns(self):
+        columns = [(1, 2, 0)] * 5 + [(F(-1, 2), 1, 3)] * 3 + [(2, 0, 1)]
+        assert_matches_ryser(columns, 5)
+        assert_matches_ryser([(2, -1)] * 7, 7)
+
+    def test_edge_shapes(self):
+        assert _perm_coefficient_values([(3, 4)], 0) == ()
+        assert_matches_ryser([(3, 4)], 1)
+        assert_matches_ryser([(1, -2), (3, 1), (0, 2)], 3)
+        # Fewer columns than dimensions.
+        assert_matches_ryser([(1, 2, 3, 4, 5), (-1, 0, 2, F(1, 3), 1)], 2)
+        assert_matches_ryser([(0, 0)] * 3, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_ryser_property(self, data):
+        t = data.draw(st.integers(1, 3), label="t")
+        n = data.draw(st.integers(1, 6), label="n")
+        max_index = data.draw(st.integers(0, n), label="max_index")
+        entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+        column = st.tuples(*[entry] * t)
+        columns = data.draw(st.lists(column, min_size=n, max_size=n), label="columns")
+        assert_matches_ryser(columns, max_index)
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
         model = paper_model()
@@ -121,6 +189,13 @@ class TestReplicateValues:
             coeffs = permanental_poly_coeffs(g, cfg.max_index)
             for i in range(1, cfg.max_index + 1):
                 assert rows[r][i - 1] == coeffs[i] / comb(cfg.n, i)
+
+    def test_perm_replicate_values_are_fractions(self):
+        cfg = SimulationConfig(paper_model(), n=30, reps=3, max_index=4, kind="both", seed=3)
+        report = simulate(cfg)
+        for kind in ("det", "perm"):
+            for row in report.replicates_for(kind):
+                assert all(type(v) is Fraction for v in row)
 
     def test_both_kinds_share_one_column_draw(self):
         cfg = SimulationConfig(TWO_ATOMS, n=4, reps=3, max_index=2, kind="both", seed=7)
@@ -211,6 +286,46 @@ class TestGuard:
         with pytest.raises(GuardExceeded) as err:
             simulate(cfg, op_budget=10**6)
         assert "before sampling" in str(err.value)
+
+    def test_cost_is_cumulative_and_monotone(self):
+        costs = perm_coefficient_op_cost(60, 4, 5)
+        # t^2 (60 + 59 * 16 + 58 * 100 + 57 * 400 + 56 * 1225) summed index by index.
+        assert costs == [960, 16064, 108864, 473664, 1571264]
+        for n in (6, 12, 200):
+            for t in (1, 2, 4):
+                costs = perm_coefficient_op_cost(n, t, 6)
+                assert len(costs) == 6 and all(a < b for a, b in zip(costs, costs[1:]))
+                assert all(a < b for a, b in zip(costs, perm_coefficient_op_cost(n + 1, t, 6)))
+        assert perm_coefficient_op_cost(5, 4, 0) == []
+
+    def test_perm_budget_reaches_hundreds_of_columns(self):
+        assert perm_by_wick(400, 4, 4, OP_BUDGET)
+        with pytest.raises(GuardExceeded, match=r"index i = 5 at n = 60"):
+            perm_by_wick(60, 4, 20, 10**6)
+
+    def test_no_run_refused_that_ryser_accepts(self):
+        for budget in (10**5, OP_BUDGET):
+            for t in range(1, 11):
+                for n in range(1, 17):
+                    for i in range(1, n + 1):
+                        if permanental_op_cost(n, i)[-1] <= budget:
+                            perm_by_wick(n, t, i, budget)
+                        elif perm_coefficient_op_cost(n, t, i)[-1] <= budget:
+                            assert perm_by_wick(n, t, i, budget)
+                        else:
+                            with pytest.raises(GuardExceeded):
+                                perm_by_wick(n, t, i, budget)
+
+    def test_few_columns_in_many_dimensions_run_ryser(self):
+        dist = random_atoms_distribution(Random(4), 3, 8)
+        assert not perm_by_wick(6, 8, 6, OP_BUDGET)
+        cfg = SimulationConfig(dist, n=6, reps=2, max_index=6, kind="perm", seed=5)
+        rows = simulate(cfg).replicates_for("perm")
+        for r in range(cfg.reps):
+            rng = Random(derive_seed(cfg.seed, r))
+            columns = [sample_vector(dist, rng) for _ in range(cfg.n)]
+            expected = ryser_coefficients(columns, cfg.max_index)
+            assert rows[r] == tuple(d / comb(cfg.n, i) for i, d in enumerate(expected, start=1))
 
     def test_det_path_has_no_permanental_guard(self):
         cfg = SimulationConfig(TWO_ATOMS, n=40, reps=2, max_index=6, kind="det", seed=0)
