@@ -34,7 +34,13 @@ from .models import (
     moment_matrix,
     paper_model,
 )
-from .montecarlo import SimulationConfig, SimulationReport, simulate, stddev_trend
+from .montecarlo import (
+    SimulationConfig,
+    SimulationReport,
+    check_sampling_draws,
+    simulate,
+    stddev_trend,
+)
 from .oracles import (
     GuardExceeded,
     OP_BUDGET,
@@ -449,6 +455,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
         )
     except ValueError as exc:
         raise UsageError(str(exc))
+    check_sampling_draws(model, args.n, args.guard_ops)
     report = simulate(config, threads=args.threads, op_budget=args.guard_ops)
     manifest_config = {
         "model": model_desc,
@@ -476,6 +483,7 @@ def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
         n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
+    check_sampling_draws(model, max(n_list, default=0), args.guard_ops)
     try:
         points = stddev_trend(
             model,
@@ -525,8 +533,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int, default=None, metavar="W")
     sub.add_argument(
         "--guard-ops", type=int, default=None, metavar="B", dest="guard_ops",
-        help="op budget checked before any work: the permanental Wick expansion in "
-        "simulate/trend, Ryser in oracle permpoly (default 10^7)",
+        help="op budget checked before any work: the draws of one replicate and the "
+        "permanental Wick expansion in simulate/trend, Ryser in oracle permpoly (default 10^7)",
     )
 
 

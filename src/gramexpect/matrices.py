@@ -22,8 +22,11 @@ EntryLike = Fraction | int | str
 
 
 def _coerce(value: EntryLike) -> Fraction:
+    """A wire string, an int or a Fraction as a Fraction; bools and floats are refused."""
     if isinstance(value, str):
         return parse_rational(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"matrix entries must be rational strings or integers, got {value!r}")
     return Fraction(value)
 
 

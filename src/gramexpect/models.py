@@ -21,6 +21,8 @@ and the compound case averages those entries over the law of ell.
 Sampling is exact: categorical draws compare a 64-bit uniform integer
 against precomputed integer thresholds ceil(cumprob * 2^64), so replicate
 streams are reproducible bit for bit and independent of float rounding.
+``sample_columns`` draws those words in blocks and tallies them at C speed
+without changing the stream.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, chain, islice
 from math import ceil
+from operator import methodcaller, sub
 from random import Random
-from typing import Sequence
+from struct import Struct, unpack
+from typing import Callable, Iterator, Sequence
 
 from .matrices import ExactMatrix, leverrier_char_coeffs
 from .scalars import format_rational, parse_rational
@@ -253,10 +258,81 @@ class CategoricalSampler:
     def draw(self, rng: Random) -> int:
         return bisect_right(self._thresholds, rng.getrandbits(64))
 
+    def draws(self, rng: Random, count: int) -> Iterator[int]:
+        """``count`` draws, equal to as many calls of ``draw``, from words drawn a block at a time."""
+        return map(partial(bisect_right, self._thresholds), chain.from_iterable(_blocks(rng, count)))
+
 
 @lru_cache(maxsize=64)
 def _sampler_for(probs: tuple[Fraction, ...]) -> CategoricalSampler:
     return CategoricalSampler(probs)
+
+
+# Words per getrandbits call; one block of words is the only draw-sized buffer.
+_BLOCK = 4096
+
+
+def _blocks(rng: Random, count: int) -> Iterator[tuple[int, ...]]:
+    """``count`` 64-bit words in blocks of at most ``_BLOCK``.
+
+    CPython fills getrandbits(64 k) from the low end, 32 bits at a time, so
+    word i of one block is exactly what the i-th getrandbits(64) would
+    return, and the generator is left in the same state.
+    """
+    while count:
+        k = min(count, _BLOCK)
+        count -= k
+        yield unpack(f"<{k}Q", rng.getrandbits(64 * k).to_bytes(8 * k, "little"))
+
+
+@lru_cache(maxsize=64)
+def _tally(t: int, max_ell: int) -> tuple[list[int], Callable[[int], tuple[int, ...]]]:
+    """One-hot increments packing t counts of at most ``max_ell`` into an int, and their unpacker.
+
+    Each count gets a field of 1, 2, 4 or 8 bytes. A packed tally is a sum
+    of increments, so the difference of two prefix sums is the tally of the
+    draws between them, exactly, whatever the prefix sums carry.
+    """
+    size = next((s for s in (1, 2, 4, 8) if max_ell >> (8 * s) == 0), None)
+    if size is None:
+        raise ValueError(f"cannot sample {max_ell} trials in one column")
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+    to_bytes = methodcaller("to_bytes", size * t, "little")
+    fields = Struct(f"<{t}{code}").unpack
+    return [1 << (8 * size * c) for c in range(t)], lambda packed: fields(to_bytes(packed))
+
+
+def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ...]] | list[tuple[int, ...]]:
+    """n column vectors drawn from the model, in order.
+
+    Equal to n calls of ``sample_vector`` and leaves ``rng`` in the same
+    state: each categorical draw takes the next 64-bit word of the stream
+    (a compound column takes one word for ell, then ell trial words). The
+    words are drawn a block at a time, categorised by ``bisect_right`` over
+    the sampler thresholds and tallied by summing packed one-hot
+    increments, so no loop runs per draw and extra memory stays
+    O(block + n t) however long a column is.
+    """
+    if isinstance(model, DiscreteVectorDistribution):
+        vectors = [vec for vec, _ in model.atoms]
+        probs = tuple(p for _, p in model.atoms)
+        return list(map(vectors.__getitem__, _sampler_for(probs).draws(rng, n)))
+    if isinstance(model, MultinomialCountModel):
+        if model.ell == 0:
+            return [(0,) * model.t] * n
+        units, fields = _tally(model.t, model.ell)
+        increments = map(units.__getitem__, _sampler_for(model.probs).draws(rng, n * model.ell))
+        ends = list(islice(accumulate(increments, initial=0), 0, None, model.ell))
+        return list(map(fields, map(sub, islice(ends, 1, None), ends)))
+    ells = [ell for ell, _ in model.ell_law]
+    law = _sampler_for(tuple(p for _, p in model.ell_law))
+    trials = _sampler_for(model.probs)
+    units, fields = _tally(model.t, ells[-1])
+    columns = []
+    for _ in range(n):
+        ell = ells[law.draw(rng)]
+        columns.append(fields(sum(map(units.__getitem__, trials.draws(rng, ell)))))
+    return columns
 
 
 def sample_count_vector(model: MultinomialCountModel | CompoundCountModel, rng: Random) -> tuple[int, ...]:
@@ -265,24 +341,21 @@ def sample_count_vector(model: MultinomialCountModel | CompoundCountModel, rng: 
     For the compound model, ell is drawn from its law first (one categorical
     draw over the law, then the trials).
     """
-    if isinstance(model, CompoundCountModel):
-        law_sampler = _sampler_for(tuple(p for _, p in model.ell_law))
-        ell = model.ell_law[law_sampler.draw(rng)][0]
-    else:
-        ell = model.ell
-    sampler = _sampler_for(model.probs)
-    counts = [0] * len(model.probs)
-    for _ in range(ell):
-        counts[sampler.draw(rng)] += 1
-    return tuple(counts)
+    return sample_columns(model, 1, rng)[0]
 
 
 def sample_vector(model: Model, rng: Random) -> tuple[Fraction, ...] | tuple[int, ...]:
     """One column vector drawn from the model."""
+    return sample_columns(model, 1, rng)[0]
+
+
+def column_draws(model: Model) -> int:
+    """The most 64-bit words one sampled column can take."""
     if isinstance(model, DiscreteVectorDistribution):
-        sampler = _sampler_for(tuple(p for _, p in model.atoms))
-        return model.atoms[sampler.draw(rng)][0]
-    return sample_count_vector(model, rng)
+        return 1
+    if isinstance(model, MultinomialCountModel):
+        return model.ell
+    return model.ell_law[-1][0] + 1
 
 
 def paper_model() -> MultinomialCountModel:

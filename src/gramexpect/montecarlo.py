@@ -27,13 +27,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, sqrt
+from operator import mul
 from random import Random
 
-from .models import Model, moment_matrix, sample_vector
+# sample_vector is no longer called here but stays importable from this module.
+from .models import Model, column_draws, moment_matrix, sample_columns, sample_vector
 from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
 from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
-from .traces import traces_by_power
+from .traces import elementary_from_power_sums, traces_by_power
 
 _MASK64 = (1 << 64) - 1
 # Reserved stream index for the acceptance suite's single statistical retry;
@@ -133,24 +135,12 @@ class SimulationReport:
 
 def sample_gram(model: Model, n: int, rng: Random) -> ExactMatrix:
     """G = A^T A for n freshly drawn columns, as an ExactMatrix of Fractions."""
-    return _gram_entries([sample_vector(model, rng) for _ in range(n)])
+    return _gram_entries(sample_columns(model, n, rng))
 
 
 def _gram_entries(columns: list[tuple]) -> ExactMatrix:
     """The Gram matrix of the columns, by ``matrices.gram``."""
     return gram(ExactMatrix.from_rows(zip(*columns)))
-
-
-def _elementary_from_power_sums(power_sums: list, count: int) -> list[Fraction]:
-    """Newton's identities, power sums -> elementary symmetric functions."""
-    elem: list[Fraction] = [Fraction(1)]
-    for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            term = elem[k - i] * power_sums[i - 1]
-            acc += term if i % 2 == 1 else -term
-        elem.append(acc / k)
-    return elem
 
 
 def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Fraction, ...]:
@@ -160,11 +150,17 @@ def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
     those of the Gram matrix, and elementary symmetric functions of a
     spectrum ignore extra zero eigenvalues, so e_k(G) = e_k(W) for k up to
     n, with e_k(W) = 0 past the rank. Cost is O(t^2 n + t^3 max_index).
+    W is built from the rows of A, one dot product per entry of its upper
+    triangle.
     """
     if max_index == 0:
         return ()
-    t = len(columns[0])
-    w = [[sum(col[i] * col[j] for col in columns) for j in range(t)] for i in range(t)]
+    rows = list(zip(*columns))
+    t = len(rows)
+    w = [[0] * t for _ in range(t)]
+    for i in range(t):
+        for j in range(i, t):
+            w[i][j] = w[j][i] = sum(map(mul, rows[i], rows[j]))
     power = w
     power_sums = [sum(power[i][i] for i in range(t))]
     for _ in range(1, max_index):
@@ -173,7 +169,23 @@ def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
             for i in range(t)
         ]
         power_sums.append(sum(power[i][i] for i in range(t)))
-    return tuple(_elementary_from_power_sums(power_sums, max_index)[1:])
+    return tuple(elementary_from_power_sums(power_sums, max_index)[1:])
+
+
+def check_sampling_draws(model: Model, n: int, op_budget: int) -> None:
+    """Refuse, before sampling, a run whose replicates draw more words than the budget.
+
+    One replicate of n columns draws at most n times ``column_draws``: n
+    for atoms, n ell for a multinomial and n (max ell + 1) for a compound
+    model. The CLI runs this check; ``simulate`` itself applies its op
+    budget to the permanental path only.
+    """
+    draws = n * column_draws(model)
+    if draws > op_budget:
+        raise GuardExceeded(
+            f"run refused before sampling: one replicate of n = {n} columns "
+            f"draws up to {draws} words, budget is {op_budget}"
+        )
 
 
 def perm_coefficient_op_cost(n: int, t: int, max_index: int) -> list[int]:
@@ -307,7 +319,7 @@ def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
 def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
     model, n, max_index, kind, wick, op_budget, stream_seed = args
     rng = Random(stream_seed)
-    columns = [sample_vector(model, rng) for _ in range(n)]
+    columns = sample_columns(model, n, rng)
     det_values = perm_values = None
     if kind in ("det", "both"):
         det_values = _char_coefficient_values(columns, max_index) if n else ()

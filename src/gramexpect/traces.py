@@ -4,12 +4,17 @@ The direct route multiplies matrices; the indirect route recovers the same
 numbers from the characteristic coefficients via Newton's identities. Both
 are exact, and keeping both alive is the point: they cross-check each other
 in the test suite and in the CLI verification path.
+
+Newton's identities live here in both directions: elementary symmetric
+functions to power sums (the indirect route) and power sums to elementary
+symmetric functions (the sampled coefficients in ``montecarlo``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .matrices import CharCoeffs, ExactMatrix
 from .models import MomentMatrix
@@ -77,3 +82,18 @@ def traces_from_char_coeffs(coeffs: CharCoeffs, count: int) -> TraceSequence:
         total += tail if n % 2 == 1 else -tail
         values.append(total)
     return TraceSequence(tuple(values))
+
+
+def elementary_from_power_sums(power_sums: Sequence, count: int) -> list[Fraction]:
+    """e_0..e_count from the power sums p_1..p_count, Newton's identities:
+
+        k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i
+    """
+    elem: list[Fraction] = [Fraction(1)]
+    for k in range(1, count + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            term = elem[k - i] * power_sums[i - 1]
+            acc += term if i % 2 == 1 else -term
+        elem.append(acc / k)
+    return elem

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,13 @@ class TestOracleCommand:
         proc = run_cli("oracle", "ryser")
         assert proc.returncode == 2
 
+    def test_float_or_bool_matrix_entry_exits_2(self, tmp_path):
+        path = tmp_path / "float.json"
+        path.write_text('{"rows": [[0.5, true], [1, 2]]}')
+        proc = run_cli("oracle", "ryser", "--matrix", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_malformed_matrix_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -231,6 +239,26 @@ class TestSimulate:
 
         # One retry on an independent derived stream, as in the acceptance suite.
         assert z_ok(20240801) or z_ok(retry_seed(20240801))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "-n", "400", "--reps", "2"),
+            ("trend", "--n-list", "50,100", "--reps", "2"),
+        ],
+        ids=["simulate", "trend"],
+    )
+    def test_huge_ell_refused_before_sampling(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.json"
+        path.write_text('{"type":"multinomial","ell":1000000000,"probs":["1/2","1/2"]}')
+        start = time.perf_counter()
+        code = cli.main([*argv, "--model", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "before sampling" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
 
     def test_max_index_above_n_exits_2(self):
         proc = run_cli("simulate", "--paper", "-n", "2", "--max-index", "3")

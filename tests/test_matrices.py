@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from random import Random
 
@@ -13,6 +14,13 @@ class TestExactMatrix:
     def test_from_rows_coerces_entry_types(self):
         m = ExactMatrix.from_rows([[1, "1/2"], [Fraction(3, 4), "2"]])
         assert m.entries == ((Fraction(1), Fraction(1, 2)), (Fraction(3, 4), Fraction(2)))
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0, True, False, None], ids=repr)
+    def test_rejects_floats_and_bools(self, entry):
+        with pytest.raises(ValueError):
+            ExactMatrix.from_rows([[entry, 1], [1, 2]])
+        with pytest.raises(ValueError):
+            matrix_from_json_str(json.dumps({"rows": [[entry, 1], [1, 2]]}))
 
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):

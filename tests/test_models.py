@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +21,9 @@ from gramexpect import (
     moment_matrix_multinomial,
     paper_model,
     sample_count_vector,
+    sample_vector,
 )
+from gramexpect.models import sample_columns
 
 from conftest import random_atoms_distribution, random_prob_vector
 
@@ -237,6 +240,90 @@ class TestSampling:
                 assert abs(mean - float(exact[i][j])) <= 5 * se, (i, j)
 
 
+
+def _reference_columns(model, n, rng):
+    """The per-draw loop: one getrandbits(64) and one bisect per categorical draw."""
+    columns = []
+    for _ in range(n):
+        if isinstance(model, DiscreteVectorDistribution):
+            sampler = CategoricalSampler(tuple(p for _, p in model.atoms))
+            columns.append(model.atoms[sampler.draw(rng)][0])
+            continue
+        if isinstance(model, CompoundCountModel):
+            law = CategoricalSampler(tuple(p for _, p in model.ell_law))
+            ell = model.ell_law[law.draw(rng)][0]
+        else:
+            ell = model.ell
+        sampler = CategoricalSampler(model.probs)
+        counts = [0] * model.t
+        for _ in range(ell):
+            counts[sampler.draw(rng)] += 1
+        columns.append(tuple(counts))
+    return columns
+
+
+STREAM_CASES = {
+    "atoms-with-zero-prob-atom": (
+        DiscreteVectorDistribution.from_pairs(
+            [((1, 0), "1/2"), (("-1/2", "3"), "1/3"), ((5, 5), "0"), ((2, 2), "1/6")]
+        ),
+        37,
+    ),
+    "paper": (paper_model(), 50),
+    "n-zero": (paper_model(), 0),
+    "ell-zero": (MultinomialCountModel(ell=0, probs=(F(1, 2), F(1, 2))), 5),
+    "zero-prob-categories": (MultinomialCountModel(ell=7, probs=(F(1, 4), F(0), F(3, 4), F(0))), 30),
+    # 3 * 1366 = 4098 words: the second block holds two, and a column straddles the boundary.
+    "across-block-boundary": (MultinomialCountModel(ell=3, probs=(F(1, 3), F(2, 3))), 1366),
+    "column-longer-than-block": (MultinomialCountModel(ell=9000, probs=(F(1, 5), F(4, 5))), 1),
+    "two-columns-longer-than-block": (MultinomialCountModel(ell=4097, probs=(F(1, 2), F(1, 2))), 2),
+    "compound": (
+        CompoundCountModel(
+            probs=(F(2, 5), F(0), F(3, 5)),
+            ell_law=((0, F(1, 4)), (3, F(1, 4)), (4100, F(1, 2))),
+        ),
+        6,
+    ),
+    "compound-ell-zero": (CompoundCountModel(probs=(F(1),), ell_law=((0, F(1)),)), 3),
+}
+
+
+def _assert_stream_identical(model, n, seed):
+    batched, single, reference = Random(seed), Random(seed), Random(seed)
+    columns = sample_columns(model, n, batched)
+    assert columns == [sample_vector(model, single) for _ in range(n)]
+    assert columns == _reference_columns(model, n, reference)
+    assert batched.getrandbits(64) == single.getrandbits(64) == reference.getrandbits(64)
+
+
+class TestSampleColumns:
+    @pytest.mark.parametrize("model, n", STREAM_CASES.values(), ids=STREAM_CASES.keys())
+    def test_stream_identical_to_per_draw_loop(self, model, n):
+        _assert_stream_identical(model, n, 20240801)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(STREAM_CASES)),
+        n=st.integers(min_value=0, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_stream_identical_over_seeds(self, case, n, seed):
+        model, _ = STREAM_CASES[case]
+        _assert_stream_identical(model, n, seed)
+
+    def test_long_column_memory_stays_at_block_scale(self):
+        model = MultinomialCountModel(ell=10**6, probs=(F(1, 3), F(2, 3)))
+        sample_columns(model, 1, Random(0))  # warm the per-model caches
+        tracemalloc.start()
+        try:
+            (column,) = sample_columns(model, 1, Random(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(column) == 10**6
+        # One block is 4096 words; 10^6 words would take 8 MB even as raw bytes.
+        assert peak < 1 << 20
+
 class TestModelJson:
     @pytest.mark.parametrize(
         "model",
@@ -251,6 +338,10 @@ class TestModelJson:
         text = model_to_json_str(model)
         again = model_to_json_str(model_from_json_str(text))
         assert text == again
+
+    def test_declared_t_is_optional(self):
+        model = model_from_json_str('{"type":"multinomial","ell":2,"probs":["1/2","1/2"]}')
+        assert model == MultinomialCountModel(ell=2, probs=(F(1, 2), F(1, 2)))
 
     def test_declared_t_must_match(self):
         with pytest.raises(InvalidModelError):

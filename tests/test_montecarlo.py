@@ -24,7 +24,13 @@ from gramexpect import (
     traces_by_power,
 )
 from gramexpect.matrices import ExactMatrix, gram
-from gramexpect.montecarlo import _perm_coefficient_values, perm_by_wick, perm_coefficient_op_cost
+from gramexpect.models import CompoundCountModel, MultinomialCountModel
+from gramexpect.montecarlo import (
+    _perm_coefficient_values,
+    check_sampling_draws,
+    perm_by_wick,
+    perm_coefficient_op_cost,
+)
 from gramexpect.oracles import OP_BUDGET, permanental_op_cost
 
 from conftest import random_atoms_distribution
@@ -281,6 +287,23 @@ class TestParallelism:
 
 
 class TestGuard:
+    @pytest.mark.parametrize(
+        "model, n, draws",
+        [
+            (TWO_ATOMS, 40, 40),
+            (paper_model(), 400, 4000),
+            (MultinomialCountModel(ell=0, probs=(F(1),)), 400, 0),
+            (CompoundCountModel(probs=(F(1, 2), F(1, 2)), ell_law=((1, F(1, 2)), (9, F(1, 2)))), 30, 300),
+        ],
+        ids=["atoms", "multinomial", "ell-zero", "compound"],
+    )
+    def test_sampling_draws_checked_against_budget(self, model, n, draws):
+        check_sampling_draws(model, n, draws)
+        check_sampling_draws(model, n, OP_BUDGET)
+        if draws:
+            with pytest.raises(GuardExceeded, match="before sampling"):
+                check_sampling_draws(model, n, draws - 1)
+
     def test_permanental_budget_checked_before_sampling(self):
         cfg = SimulationConfig(paper_model(), n=60, reps=10**9, max_index=20, kind="perm", seed=0)
         with pytest.raises(GuardExceeded) as err:

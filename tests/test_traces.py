@@ -15,6 +15,7 @@ from gramexpect import (
     traces_from_char_coeffs,
 )
 from gramexpect.matrices import CharCoeffs
+from gramexpect.traces import elementary_from_power_sums
 
 from conftest import random_psd, random_symmetric
 
@@ -109,3 +110,14 @@ class TestPsdTraceInvariants:
     def test_paper_moment_matrix_is_psd_plausible(self):
         coeffs = char_coeffs(moment_matrix_multinomial(paper_model()))
         assert all(c >= 0 for c in coeffs.values)
+
+
+class TestNewtonBothWays:
+    def test_power_sums_recover_char_coeffs(self):
+        rng = Random(31)
+        for _ in range(10):
+            m = random_psd(rng, rng.randint(1, 4))
+            coeffs = leverrier_char_coeffs(m).values
+            count = len(coeffs) + 1
+            elem = elementary_from_power_sums(traces_by_power(m, count).values, count)
+            assert tuple(elem) == coeffs + (0,) * (count + 1 - len(coeffs))
