@@ -21,8 +21,10 @@ and the compound case averages those entries over the law of ell.
 Sampling is exact: categorical draws compare a 64-bit uniform integer
 against precomputed integer thresholds ceil(cumprob * 2^64), so replicate
 streams are reproducible bit for bit and independent of float rounding.
-``sample_columns`` draws those words in blocks and tallies them at C speed
-without changing the stream.
+``sample_columns`` draws the words in blocks and categorises each by its
+top byte, or by an exact ``bisect_right`` on the full word whenever a
+threshold falls inside that byte, so the stream is unchanged; count columns
+are tallied in C by big-integer convolution or ``bytes.count``.
 """
 
 from __future__ import annotations
@@ -31,13 +33,13 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import accumulate, chain, islice
+from functools import partial
+from itertools import accumulate, chain
 from math import ceil
-from operator import methodcaller, sub
+from operator import add
 from random import Random
-from struct import Struct, unpack
-from typing import Callable, Iterator, Sequence
+from struct import unpack
+from typing import Sequence
 
 from .matrices import ExactMatrix, leverrier_char_coeffs
 from .scalars import format_rational, parse_rational
@@ -96,6 +98,7 @@ class DiscreteVectorDistribution:
             tuple(_rational(v, "atom vector entries") for v in vec) for vec, _ in self.atoms
         )
         object.__setattr__(self, "atoms", tuple(zip(vectors, probs)))
+        object.__setattr__(self, "_sampler", CategoricalSampler(probs))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteVectorDistribution":
@@ -120,6 +123,7 @@ class MultinomialCountModel:
         if not _is_count(self.ell):
             raise InvalidModelError(f"ell must be a nonnegative integer, got {self.ell!r}")
         object.__setattr__(self, "probs", _coerce_prob_vector(self.probs, "probs"))
+        object.__setattr__(self, "_sampler", CategoricalSampler(self.probs))
 
     @property
     def t(self) -> int:
@@ -145,6 +149,8 @@ class CompoundCountModel:
         weights = _coerce_prob_vector([p for _, p in self.ell_law], "ell_law probabilities")
         ordered = tuple(sorted(zip(ells, weights)))
         object.__setattr__(self, "ell_law", ordered)
+        object.__setattr__(self, "_sampler", CategoricalSampler(self.probs))
+        object.__setattr__(self, "_ell_sampler", CategoricalSampler([p for _, p in ordered]))
 
     @property
     def t(self) -> int:
@@ -189,18 +195,8 @@ class MomentMatrix:
 
 def moment_matrix_from_atoms(dist: DiscreteVectorDistribution) -> MomentMatrix:
     """M[i][j] = sum over atoms of prob * v_i * v_j."""
-    t = dist.t
-    out = [[Fraction(0)] * t for _ in range(t)]
-    for vector, prob in dist.atoms:
-        for i in range(t):
-            if vector[i] == 0:
-                continue
-            for j in range(i, t):
-                out[i][j] += prob * vector[i] * vector[j]
-    for i in range(t):
-        for j in range(i + 1, t):
-            out[j][i] = out[i][j]
-    return MomentMatrix(tuple(tuple(row) for row in out))
+    rows = range(dist.t)
+    return MomentMatrix(tuple(tuple(sum(p * v[i] * v[j] for v, p in dist.atoms) for j in rows) for i in rows))
 
 
 def _multinomial_entries(ell: int, probs: Sequence[Fraction]) -> list[list[Fraction]]:
@@ -218,14 +214,9 @@ def moment_matrix_multinomial(model: MultinomialCountModel) -> MomentMatrix:
 
 def moment_matrix_compound(model: CompoundCountModel) -> MomentMatrix:
     """Entrywise average of the fixed-ell matrices under the law of ell."""
-    t = model.t
-    out = [[Fraction(0)] * t for _ in range(t)]
-    for ell, weight in model.ell_law:
-        fixed = _multinomial_entries(ell, model.probs)
-        for i in range(t):
-            for j in range(t):
-                out[i][j] += weight * fixed[i][j]
-    return MomentMatrix(tuple(tuple(row) for row in out))
+    fixed = [(weight, _multinomial_entries(ell, model.probs)) for ell, weight in model.ell_law]
+    rows = range(model.t)
+    return MomentMatrix(tuple(tuple(sum(w * m[i][j] for w, m in fixed) for j in rows) for i in rows))
 
 
 def moment_matrix(model: Model) -> MomentMatrix:
@@ -238,68 +229,94 @@ def moment_matrix(model: Model) -> MomentMatrix:
     raise InvalidModelError(f"unsupported model type: {type(model).__name__}")
 
 
+# Words per getrandbits call; one block of words is the only draw-sized buffer.
+_BLOCK = 4096
+# Top-byte table entry for "a threshold lies inside this byte's interval".
+_SENTINEL = 255
+# Below this many trials, convolving 2+ columns beat bytes.count (measured).
+_CONVOLVE_BELOW = 64
+
+
 class CategoricalSampler:
     """Exact categorical draws over rational probabilities.
 
     Thresholds are T_k = ceil(cum_k * 2^64). A draw takes one 64-bit uniform
     u and returns the smallest k with u < T_k; ties resolve toward the lower
-    index, and zero-probability categories are never selected.
+    index, and zero-probability categories are never selected. With fewer
+    than 255 categories a table gives each top byte's category, or the
+    sentinel if a threshold lies inside the byte (never if 256 p_k are ints).
     """
 
     def __init__(self, probs: Sequence[Fraction]):
-        probs = _coerce_prob_vector(probs, "probs")
-        cum = Fraction(0)
-        thresholds = []
-        for p in probs:
-            cum += p
-            thresholds.append(ceil(cum * _TWO64))
-        self._thresholds = thresholds
+        cums = accumulate(_coerce_prob_vector(probs, "probs"))
+        self._thresholds = thresholds = [ceil(cum * _TWO64) for cum in cums]
+        self._table = None
+        if len(thresholds) < _SENTINEL:
+            inside = {threshold >> 56 for threshold in thresholds if threshold % (1 << 56)}
+            self._table = bytes(
+                _SENTINEL if b in inside else bisect_right(thresholds, b << 56) for b in range(256)
+            )
+            self._onehots = [bytes(c) + b"\1" + bytes(255 - c) for c in range(len(thresholds))]
 
     def draw(self, rng: Random) -> int:
         return bisect_right(self._thresholds, rng.getrandbits(64))
 
-    def draws(self, rng: Random, count: int) -> Iterator[int]:
-        """``count`` draws, equal to as many calls of ``draw``, from words drawn a block at a time."""
-        return map(partial(bisect_right, self._thresholds), chain.from_iterable(_blocks(rng, count)))
+    def categories(self, rng: Random, count: int) -> bytearray | list[int]:
+        """``count`` draws, equal to as many calls of ``draw``, from one getrandbits call.
+
+        CPython fills getrandbits(64 count) from the low end, 32 bits at a
+        time, so word i is what the i-th getrandbits(64) would return.
+        """
+        raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        if self._table is None:
+            return list(map(partial(bisect_right, self._thresholds), unpack(f"<{count}Q", raw)))
+        cats = bytearray(raw[7::8].translate(self._table))
+        at = cats.find(_SENTINEL)
+        while at >= 0:
+            cats[at] = bisect_right(self._thresholds, int.from_bytes(raw[8 * at : 8 * at + 8], "little"))
+            at = cats.find(_SENTINEL, at + 1)
+        return cats
 
 
-@lru_cache(maxsize=64)
-def _sampler_for(probs: tuple[Fraction, ...]) -> CategoricalSampler:
-    return CategoricalSampler(probs)
+def _chunks(total: int, size: int) -> list[int]:
+    return [size] * (total // size) + [total % size] * (total % size > 0)
 
 
-# Words per getrandbits call; one block of words is the only draw-sized buffer.
-_BLOCK = 4096
+def _convolved_columns(sampler: CategoricalSampler, rng: Random, ell: int, t: int, n: int) -> list:
+    """n columns of 0 < ell < 255 trials over t < 255 categories, whole columns per block.
 
-
-def _blocks(rng: Random, count: int) -> Iterator[tuple[int, ...]]:
-    """``count`` 64-bit words in blocks of at most ``_BLOCK``.
-
-    CPython fills getrandbits(64 k) from the low end, 32 bits at a time, so
-    word i of one block is exactly what the i-th getrandbits(64) would
-    return, and the generator is left in the same state.
+    Byte j of int(draws == c) * sum_{i<ell} 256^i counts c in the ell draws
+    ending at j: at most ell, so no byte carries.
     """
-    while count:
-        k = min(count, _BLOCK)
-        count -= k
-        yield unpack(f"<{k}Q", rng.getrandbits(64 * k).to_bytes(8 * k, "little"))
+    window = int.from_bytes(b"\1" * ell, "little")
+    columns: list[tuple[int, ...]] = []
+    for m in _chunks(n, _BLOCK // ell):
+        cats = sampler.categories(rng, m * ell)
+        columns += zip(*(
+            (int.from_bytes(cats.translate(onehot), "little") * window)
+            .to_bytes((m + 1) * ell, "little")[ell - 1 : m * ell : ell]
+            for onehot in sampler._onehots
+        ))
+    return columns
 
 
-@lru_cache(maxsize=64)
-def _tally(t: int, max_ell: int) -> tuple[list[int], Callable[[int], tuple[int, ...]]]:
-    """One-hot increments packing t counts of at most ``max_ell`` into an int, and their unpacker.
+def _count(cats: bytearray | list[int], t: int) -> tuple[int, ...]:
+    """How often each of the categories 0..t-1 occurs in ``cats``."""
+    if t < _SENTINEL:
+        return tuple(map(cats.count, range(t)))
+    counts = [0] * t
+    for c in cats:  # no table: every word was bisected, one by one
+        counts[c] += 1
+    return tuple(counts)
 
-    Each count gets a field of 1, 2, 4 or 8 bytes. A packed tally is a sum
-    of increments, so the difference of two prefix sums is the tally of the
-    draws between them, exactly, whatever the prefix sums carry.
-    """
-    size = next((s for s in (1, 2, 4, 8) if max_ell >> (8 * s) == 0), None)
-    if size is None:
-        raise ValueError(f"cannot sample {max_ell} trials in one column")
-    code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
-    to_bytes = methodcaller("to_bytes", size * t, "little")
-    fields = Struct(f"<{t}{code}").unpack
-    return [1 << (8 * size * c) for c in range(t)], lambda packed: fields(to_bytes(packed))
+
+def _counted_column(sampler: CategoricalSampler, rng: Random, ell: int, t: int) -> tuple[int, ...]:
+    """One column of ``ell`` trials, counted a block of at most ``_BLOCK`` draws at a time."""
+    counts = _count(sampler.categories(rng, min(ell, _BLOCK)), t)
+    while ell > _BLOCK:
+        ell -= _BLOCK
+        counts = tuple(map(add, counts, _count(sampler.categories(rng, min(ell, _BLOCK)), t)))
+    return counts
 
 
 def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ...]] | list[tuple[int, ...]]:
@@ -307,46 +324,28 @@ def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ..
 
     Equal to n calls of ``sample_vector`` and leaves ``rng`` in the same
     state: each categorical draw takes the next 64-bit word of the stream
-    (a compound column takes one word for ell, then ell trial words). The
-    words are drawn a block at a time, categorised by ``bisect_right`` over
-    the sampler thresholds and tallied by summing packed one-hot
-    increments, so no loop runs per draw and extra memory stays
-    O(block + n t) however long a column is.
+    (a compound column takes one word for ell, then ell trial words).
+    Extra memory is O(block + n t) however long a column is.
     """
     if isinstance(model, DiscreteVectorDistribution):
         vectors = [vec for vec, _ in model.atoms]
-        probs = tuple(p for _, p in model.atoms)
-        return list(map(vectors.__getitem__, _sampler_for(probs).draws(rng, n)))
+        draws = (model._sampler.categories(rng, k) for k in _chunks(n, _BLOCK))
+        return list(map(vectors.__getitem__, chain.from_iterable(draws)))
+    t = model.t
     if isinstance(model, MultinomialCountModel):
-        if model.ell == 0:
-            return [(0,) * model.t] * n
-        units, fields = _tally(model.t, model.ell)
-        increments = map(units.__getitem__, _sampler_for(model.probs).draws(rng, n * model.ell))
-        ends = list(islice(accumulate(increments, initial=0), 0, None, model.ell))
-        return list(map(fields, map(sub, islice(ends, 1, None), ends)))
+        if n > 1 and 0 < model.ell < _CONVOLVE_BELOW and t < _SENTINEL:
+            return _convolved_columns(model._sampler, rng, model.ell, t, n)
+        return [_counted_column(model._sampler, rng, model.ell, t) for _ in range(n)]
     ells = [ell for ell, _ in model.ell_law]
-    law = _sampler_for(tuple(p for _, p in model.ell_law))
-    trials = _sampler_for(model.probs)
-    units, fields = _tally(model.t, ells[-1])
-    columns = []
-    for _ in range(n):
-        ell = ells[law.draw(rng)]
-        columns.append(fields(sum(map(units.__getitem__, trials.draws(rng, ell)))))
-    return columns
-
-
-def sample_count_vector(model: MultinomialCountModel | CompoundCountModel, rng: Random) -> tuple[int, ...]:
-    """One count vector: ell categorical trials tallied per category.
-
-    For the compound model, ell is drawn from its law first (one categorical
-    draw over the law, then the trials).
-    """
-    return sample_columns(model, 1, rng)[0]
+    return [_counted_column(model._sampler, rng, ells[model._ell_sampler.draw(rng)], t) for _ in range(n)]
 
 
 def sample_vector(model: Model, rng: Random) -> tuple[Fraction, ...] | tuple[int, ...]:
-    """One column vector drawn from the model."""
+    """One column vector drawn from the model; for a compound model ell is drawn first."""
     return sample_columns(model, 1, rng)[0]
+
+
+sample_count_vector = sample_vector
 
 
 def column_draws(model: Model) -> int:

@@ -35,7 +35,7 @@ from .models import Model, column_draws, moment_matrix, sample_columns, sample_v
 from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
 from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
-from .traces import elementary_from_power_sums, traces_by_power
+from .traces import integer_elementary_from_power_sums, traces_by_power
 
 _MASK64 = (1 << 64) - 1
 # Reserved stream index for the acceptance suite's single statistical retry;
@@ -150,12 +150,19 @@ def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
     those of the Gram matrix, and elementary symmetric functions of a
     spectrum ignore extra zero eigenvalues, so e_k(G) = e_k(W) for k up to
     n, with e_k(W) = 0 past the rank. Cost is O(t^2 n + t^3 max_index).
-    W is built from the rows of A, one dot product per entry of its upper
-    triangle.
+    Count columns are ints; atom columns are Fractions and are scaled by the
+    lcm D of their denominators. W is then an integer matrix, built from
+    the rows of A one dot product per entry of its upper triangle; its
+    power sums and Newton's identities run in ints, and e_k is divided by
+    D^(2k) once at the end.
     """
     if max_index == 0:
         return ()
     rows = list(zip(*columns))
+    scale = 1
+    if isinstance(rows[0][0], Fraction):
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        rows = [[int(x * scale) for x in row] for row in rows]
     t = len(rows)
     w = [[0] * t for _ in range(t)]
     for i in range(t):
@@ -164,12 +171,11 @@ def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
     power = w
     power_sums = [sum(power[i][i] for i in range(t))]
     for _ in range(1, max_index):
-        power = [
-            [sum(power[i][k] * w[k][j] for k in range(t)) for j in range(t)]
-            for i in range(t)
-        ]
+        # W and its powers are symmetric: column j of W is row j.
+        power = [[sum(map(mul, row, w_row)) for w_row in w] for row in power]
         power_sums.append(sum(power[i][i] for i in range(t)))
-    return tuple(elementary_from_power_sums(power_sums, max_index)[1:])
+    elementary = integer_elementary_from_power_sums(power_sums, max_index)
+    return tuple(Fraction(e, scale ** (2 * k)) for k, e in enumerate(elementary[1:], start=1))
 
 
 def check_sampling_draws(model: Model, n: int, op_budget: int) -> None:
@@ -433,7 +439,9 @@ def stddev_trend(
     """Normalized stddev of coefficient ``index`` across increasing n.
 
     One simulate run per n, each on its own derived seed stream. ``kind``
-    must be det or perm; a combined trajectory has no meaning here.
+    must be det or perm; a combined trajectory has no meaning here. Every
+    n is validated, and a permanental run costed at its largest n, before
+    the first point is computed.
     """
     if kind not in ("det", "perm"):
         raise ValueError(f'trend kind must be "det" or "perm", got {kind!r}')
@@ -441,12 +449,17 @@ def stddev_trend(
         raise ValueError("n_list must be non-empty and strictly increasing")
     if index < 1:
         raise ValueError("coefficient index must be >= 1")
+    configs = [
+        SimulationConfig(model=model, n=n, reps=reps, max_index=index, kind=kind, seed=derive_seed(seed, n))
+        for n in n_list
+    ]
+    if kind == "perm":
+        # Both permanental cost models grow with n, so costing the largest n
+        # refuses, before any work, exactly the runs a later point would.
+        perm_by_wick(n_list[-1], model.t, index, op_budget)
     points = []
-    for n in n_list:
-        config = SimulationConfig(
-            model=model, n=n, reps=reps, max_index=index, kind=kind, seed=derive_seed(seed, n)
-        )
+    for config in configs:
         report = simulate(config, threads=threads, op_budget=op_budget)
         stddev = report.stats_for(kind)[index - 1].normalized_stddev
-        points.append((n, 0.0 if stddev is None else stddev))
+        points.append((config.n, 0.0 if stddev is None else stddev))
     return points

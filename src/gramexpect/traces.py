@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .matrices import CharCoeffs, ExactMatrix
 from .models import MomentMatrix
@@ -84,16 +84,38 @@ def traces_from_char_coeffs(coeffs: CharCoeffs, count: int) -> TraceSequence:
     return TraceSequence(tuple(values))
 
 
+def _newton(power_sums: Sequence, count: int, divide: Callable) -> list:
+    """e_0..e_count from p_1..p_count: k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i."""
+    elem = [divide(1, 1)]
+    for k in range(1, count + 1):
+        acc = 0
+        for i in range(1, k + 1):
+            term = elem[k - i] * power_sums[i - 1]
+            acc += term if i % 2 == 1 else -term
+        elem.append(divide(acc, k))
+    return elem
+
+
+def _exact_quotient(numerator: int, k: int) -> int:
+    quotient, remainder = divmod(numerator, k)
+    if remainder:
+        raise ArithmeticError(f"Newton's identities: {numerator} is not a multiple of {k}")
+    return quotient
+
+
 def elementary_from_power_sums(power_sums: Sequence, count: int) -> list[Fraction]:
     """e_0..e_count from the power sums p_1..p_count, Newton's identities:
 
         k e_k = sum_{i=1}^{k} (-1)^(i-1) e_{k-i} p_i
     """
-    elem: list[Fraction] = [Fraction(1)]
-    for k in range(1, count + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            term = elem[k - i] * power_sums[i - 1]
-            acc += term if i % 2 == 1 else -term
-        elem.append(acc / k)
-    return elem
+    return _newton(power_sums, count, Fraction)
+
+
+def integer_elementary_from_power_sums(power_sums: Sequence[int], count: int) -> list[int]:
+    """e_0..e_count, as ints, from the power sums of an integer matrix.
+
+    The e_k of an integer matrix are integers, so every division in
+    Newton's identities is exact; a remainder raises ArithmeticError
+    instead of being rounded away.
+    """
+    return _newton(power_sums, count, _exact_quotient)

@@ -288,6 +288,25 @@ class TestTrendCommand:
         proc = run_cli("trend", "--paper", "--n-list", "6,4", "--reps", "2")
         assert proc.returncode == 2
 
+    def test_perm_run_refused_at_its_largest_n_at_once(self, capsys):
+        argv = ["trend", "--paper", "--kind", "perm", "--index", "4", "--n-list", "100,400,3000"]
+        start = time.perf_counter()
+        code = cli.main([*argv, "--reps", "20"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "n = 3000" in captured.err
+        assert captured.out == ""
+        assert elapsed < 1.0
+
+    def test_accepted_perm_run_stdout_unchanged(self, capsys):
+        argv = ["trend", "--paper", "--kind", "perm", "--index", "2", "--n-list", "10,20"]
+        assert cli.main([*argv, "--reps", "3", "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            '{"i":2,"kind":"perm","points":[{"n":10,"stddev":185.63898590118336},'
+            '{"n":20,"stddev":162.50302075464924}],"reps":3,"seed":5}\n'
+        )
+
 
 class TestEnvironmentOverrides:
     def test_env_sets_output(self):

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from fractions import Fraction
 from random import Random
@@ -158,14 +159,19 @@ class TestMomentMatrixCompound:
 
 
 class _FixedBits:
-    """Stand-in RNG handing out preset 64-bit draws."""
+    """Stand-in RNG handing out preset 64-bit draws.
+
+    getrandbits(64 k) packs the next k words from the low end, as CPython does.
+    """
 
     def __init__(self, values):
         self._values = list(values)
 
     def getrandbits(self, bits):
-        assert bits == 64
-        return self._values.pop(0)
+        assert bits % 64 == 0
+        count = bits // 64
+        words, self._values = self._values[:count], self._values[count:]
+        return sum(word << (64 * i) for i, word in enumerate(words))
 
 
 class TestCategoricalSampler:
@@ -187,6 +193,24 @@ class TestCategoricalSampler:
         boundary = 1 << 62
         assert sampler.draw(_FixedBits([boundary - 1])) == 0
         assert sampler.draw(_FixedBits([boundary])) == 2
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (F(1, 3), F(2, 3)),  # threshold inside top byte 85: its words are bisected
+            (F(1, 4), F(0), F(3, 4)),  # thresholds on a top-byte boundary
+            (F(1, 2**60), F(1, 2) - F(1, 2**60), F(1, 2)),  # threshold inside top byte 0
+        ],
+        ids=["inside-a-byte", "on-a-boundary", "inside-byte-zero"],
+    )
+    def test_block_categories_equal_single_draws_at_byte_edges(self, probs):
+        sampler = CategoricalSampler(probs)
+        edges = [0, 1, (1 << 64) - 1]
+        for threshold in sampler._thresholds[:-1]:
+            top = threshold >> 56
+            edges += [threshold - 1, threshold, top << 56, ((top + 1) << 56) - 1]
+        expected = [sampler.draw(_FixedBits([word])) for word in edges]
+        assert list(sampler.categories(_FixedBits(edges), len(edges))) == expected
 
 
 class TestSampling:
@@ -262,6 +286,8 @@ def _reference_columns(model, n, rng):
     return columns
 
 
+_NON_DYADIC = (F(1, 3), F(1, 5), F(1, 7), F(1, 11), F(1) - F(1, 3) - F(1, 5) - F(1, 7) - F(1, 11))
+
 STREAM_CASES = {
     "atoms-with-zero-prob-atom": (
         DiscreteVectorDistribution.from_pairs(
@@ -285,7 +311,50 @@ STREAM_CASES = {
         6,
     ),
     "compound-ell-zero": (CompoundCountModel(probs=(F(1),), ell_law=((0, F(1)),)), 3),
+    # Non-dyadic probabilities put thresholds inside top bytes, so some words are bisected.
+    "non-dyadic-convolved": (MultinomialCountModel(ell=10, probs=_NON_DYADIC), 40),
+    "non-dyadic-single-column": (MultinomialCountModel(ell=10, probs=_NON_DYADIC), 1),
+    "ell-63-convolved": (MultinomialCountModel(ell=63, probs=_NON_DYADIC), 70),
+    "ell-64-counted": (MultinomialCountModel(ell=64, probs=_NON_DYADIC), 70),
+    "ell-255": (MultinomialCountModel(ell=255, probs=(F(1, 3), F(2, 3))), 17),
+    "ell-256": (MultinomialCountModel(ell=256, probs=(F(1, 3), F(2, 3))), 17),
+    "ell-4096": (MultinomialCountModel(ell=4096, probs=(F(1, 3), F(2, 3))), 2),
+    "ell-4097": (MultinomialCountModel(ell=4097, probs=_NON_DYADIC), 2),
+    # 255 or more categories: no top-byte table, every word is bisected.
+    "atoms-300": (
+        DiscreteVectorDistribution.from_pairs([((k, 1), F(k + 1, 45150)) for k in range(300)]),
+        60,
+    ),
+    "multinomial-300-categories": (MultinomialCountModel(ell=7, probs=(F(1, 300),) * 300), 20),
+    "compound-non-dyadic-above-block": (
+        CompoundCountModel(probs=_NON_DYADIC, ell_law=((1, F(2, 3)), (5000, F(1, 3)))),
+        4,
+    ),
 }
+
+
+@st.composite
+def _rational_probs(draw):
+    """Probability vectors whose thresholds land on, next to, or inside top-byte boundaries.
+
+    Cut points are mixed from exact multiples of 2^-8 (thresholds on a
+    top-byte boundary), such multiples moved by a few 2^-64 (inside the
+    neighbouring byte) and arbitrary 64-bit ones; a non-dyadic vector and
+    zero-probability categories (repeated cut points) come in too.
+    """
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 12), min_size=1, max_size=8))
+        if not any(weights):
+            weights[0] = 1
+        return tuple(F(w, sum(weights)) for w in weights)
+    cut = st.one_of(
+        st.integers(0, 256).map(lambda b: b << 56),
+        st.tuples(st.integers(1, 255), st.integers(-3, 3)).map(lambda p: (p[0] << 56) + p[1]),
+        st.integers(0, 2**64),
+    )
+    cuts = sorted(draw(st.lists(cut, max_size=7)))
+    edges = [0, *cuts, 2**64]
+    return tuple(F(b - a, 2**64) for a, b in zip(edges, edges[1:]))
 
 
 def _assert_stream_identical(model, n, seed):
@@ -310,6 +379,29 @@ class TestSampleColumns:
     def test_stream_identical_over_seeds(self, case, n, seed):
         model, _ = STREAM_CASES[case]
         _assert_stream_identical(model, n, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stream_identical_over_random_rational_probabilities(self, data):
+        probs = data.draw(_rational_probs())
+        kind = data.draw(st.sampled_from(["atoms", "multinomial", "compound"]))
+        if kind == "atoms":
+            model = DiscreteVectorDistribution.from_pairs(
+                ((k, -k), p) for k, p in enumerate(probs)
+            )
+        elif kind == "multinomial":
+            model = MultinomialCountModel(ell=data.draw(st.integers(0, 80)), probs=probs)
+        else:
+            ells = data.draw(st.lists(st.integers(0, 70), min_size=1, max_size=4, unique=True))
+            model = CompoundCountModel(probs=probs, ell_law=tuple((e, F(1, len(ells))) for e in ells))
+        n = data.draw(st.integers(0, 30))
+        _assert_stream_identical(model, n, data.draw(st.integers(0, 2**64 - 1)))
+
+    def test_model_keeps_its_sampler_through_pickling(self):
+        model = MultinomialCountModel(ell=10, probs=_NON_DYADIC)
+        copy = pickle.loads(pickle.dumps(model))
+        assert copy == model
+        assert sample_columns(copy, 30, Random(4)) == sample_columns(model, 30, Random(4))
 
     def test_long_column_memory_stays_at_block_scale(self):
         model = MultinomialCountModel(ell=10**6, probs=(F(1, 3), F(2, 3)))

@@ -26,6 +26,7 @@ from gramexpect import (
 from gramexpect.matrices import ExactMatrix, gram
 from gramexpect.models import CompoundCountModel, MultinomialCountModel
 from gramexpect.montecarlo import (
+    _char_coefficient_values,
     _perm_coefficient_values,
     check_sampling_draws,
     perm_by_wick,
@@ -96,6 +97,44 @@ def assert_matches_ryser(columns, max_index):
     values = _perm_coefficient_values(columns, max_index)
     assert values == ryser_coefficients(columns, max_index)
     assert all(type(v) is Fraction for v in values)
+
+
+def assert_matches_char_poly(columns, max_index):
+    """The integer det replicate against Leverrier on the n x n Gram matrix (oracles.py)."""
+    values = _char_coefficient_values(columns, max_index)
+    coeffs = char_poly_coeffs_of_gram(gram(ExactMatrix.from_rows(zip(*columns))))
+    coeffs += (F(0),) * (max_index + 1 - len(coeffs))
+    assert values == coeffs[1 : max_index + 1]
+    assert all(type(v) is Fraction for v in values)
+
+
+class TestCharCoefficientValues:
+    def test_rational_atom_columns(self):
+        rng = Random(12)
+        for _ in range(15):
+            dist = random_atoms_distribution(rng, rng.randint(1, 4), rng.randint(1, 3))
+            n = rng.randint(1, 7)
+            columns = [sample_vector(dist, rng) for _ in range(n)]
+            assert_matches_char_poly(columns, rng.randint(1, n))
+
+    def test_rational_columns_with_mixed_denominators(self):
+        rng = Random(13)
+        for _ in range(10):
+            t, n = rng.randint(1, 4), rng.randint(1, 6)
+            columns = [
+                tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3, 6, 7))) for _ in range(t))
+                for _ in range(n)
+            ]
+            assert_matches_char_poly(columns, n)
+
+    def test_count_columns_past_the_rank(self):
+        rng = Random(14)
+        columns = [sample_vector(paper_model(), rng) for _ in range(9)]
+        assert_matches_char_poly(columns, 9)  # b_5..b_9 vanish: rank <= t = 4
+        assert_matches_char_poly([(0, 0, 0)] * 3 + [(1, 2, 3)], 4)
+
+    def test_max_index_zero(self):
+        assert _char_coefficient_values([(F(1, 2), F(3))], 0) == ()
 
 
 class TestPermCoefficientValues:
@@ -364,6 +403,23 @@ class TestTrend:
             SimulationConfig(TWO_ATOMS, n=8, reps=6, max_index=2, kind="det", seed=derive_seed(55, 8))
         )
         assert points[1][1] == direct.stats_for("det")[1].normalized_stddev
+
+    def test_perm_run_costed_at_its_largest_n_before_any_point(self, monkeypatch):
+        import gramexpect.montecarlo as montecarlo
+
+        def no_sampling(*args):
+            raise AssertionError("a point was computed before the run was costed")
+
+        monkeypatch.setattr(montecarlo, "_replicate_worker", no_sampling)
+        with pytest.raises(GuardExceeded, match="n = 3000"):
+            stddev_trend(paper_model(), [100, 400, 3000], reps=20, index=4, kind="perm", seed=0)
+
+    def test_every_n_validated_before_any_point(self, monkeypatch):
+        import gramexpect.montecarlo as montecarlo
+
+        monkeypatch.setattr(montecarlo, "_replicate_worker", None)
+        with pytest.raises(ValueError, match="max_index"):
+            stddev_trend(paper_model(), [2, 3000], reps=2, index=4, kind="perm", seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

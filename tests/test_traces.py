@@ -15,9 +15,9 @@ from gramexpect import (
     traces_from_char_coeffs,
 )
 from gramexpect.matrices import CharCoeffs
-from gramexpect.traces import elementary_from_power_sums
+from gramexpect.traces import elementary_from_power_sums, integer_elementary_from_power_sums
 
-from conftest import random_psd, random_symmetric
+from conftest import random_matrix, random_psd, random_symmetric
 
 F = Fraction
 
@@ -121,3 +121,19 @@ class TestNewtonBothWays:
             count = len(coeffs) + 1
             elem = elementary_from_power_sums(traces_by_power(m, count).values, count)
             assert tuple(elem) == coeffs + (0,) * (count + 1 - len(coeffs))
+
+    def test_integer_power_sums_give_int_coefficients(self):
+        rng = Random(32)
+        for _ in range(10):
+            t = rng.randint(1, 4)
+            m = random_matrix(rng, t, t, rational=False)
+            count = t + 2
+            power_sums = [int(p) for p in traces_by_power(m, count).values]
+            elem = integer_elementary_from_power_sums(power_sums, count)
+            assert all(type(e) is int for e in elem)
+            assert elem == elementary_from_power_sums(power_sums, count)
+
+    def test_inexact_integer_division_raises(self):
+        # p_1 = 1, p_2 = 2 is no integer matrix's: e_2 = (1 - 2) / 2.
+        with pytest.raises(ArithmeticError):
+            integer_elementary_from_power_sums([1, 2], 2)
