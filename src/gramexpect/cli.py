@@ -21,11 +21,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
-from .matrices import ExactMatrix, matrix_from_json_str, matrix_to_json_str
+from .matrices import ExactMatrix, matrix_from_json_str
 from .models import (
     InvalidModelError,
     Model,
@@ -36,7 +37,6 @@ from .models import (
 )
 from .montecarlo import (
     SimulationConfig,
-    SimulationReport,
     check_sampling_draws,
     simulate,
     stddev_trend,
@@ -89,16 +89,7 @@ class RunManifest:
     output_sha256: str
 
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "subcommand": self.subcommand,
-                "config": self.config,
-                "version": self.version,
-                "seed": self.seed,
-                "wall_time_s": self.wall_time_s,
-                "output_sha256": self.output_sha256,
-            }
-        )
+        return canonical_json(asdict(self))
 
 
 def _env(name: str) -> str | None:
@@ -164,15 +155,33 @@ def _load_matrix(args: argparse.Namespace) -> ExactMatrix:
         raise UsageError(str(exc))
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+def _render(output: str, body: object, headers: list[str] | None, rows: Iterable[list[str]]) -> str:
+    """The stdout payload of every command.
+
+    json is ``body`` alone. csv is the optional header line, then one
+    comma-joined line per row; table is the same lines with each column
+    left-aligned to its widest cell, right-stripped. ``rows`` is only
+    iterated for csv and table, so callers pass a generator.
+    """
+    if output == "json":
+        return canonical_json(body) + "\n"
+    lines = ([] if headers is None else [headers]) + list(rows)
+    if output == "csv":
+        return "".join(",".join(line) + "\n" for line in lines)
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
+
+
+def _matrix_body(matrix: ExactMatrix) -> dict:
+    """A matrix in the matrix-file form {"rows": [[rational strings]]}."""
+    return {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
+
+
+def _render_matrix(output: str, matrix: ExactMatrix) -> str:
+    """The matrix body; its csv has no header line."""
+    body = _matrix_body(matrix)
+    headers = None if output == "csv" else [f"col{j}" for j in range(matrix.cols)]
+    return _render(output, body, headers, body["rows"])
 
 
 # ---------------------------------------------------------------- moments
@@ -180,14 +189,7 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def cmd_moments(args: argparse.Namespace) -> tuple[str, dict]:
     model, model_desc = _load_model(args)
-    matrix = moment_matrix(model).as_exact_matrix()
-    if args.output == "json":
-        payload = matrix_to_json_str(matrix)
-    elif args.output == "csv":
-        payload = "".join(",".join(format_rational(v) for v in row) + "\n" for row in matrix.entries)
-    else:
-        rows = [[format_rational(v) for v in row] for row in matrix.entries]
-        payload = _render_table([f"col{j}" for j in range(matrix.cols)], rows)
+    payload = _render_matrix(args.output, moment_matrix(model).as_exact_matrix())
     return payload, {"model": model_desc, "output": args.output}
 
 
@@ -208,12 +210,8 @@ def cmd_traces(args: argparse.Namespace) -> tuple[str, dict]:
             "trace mismatch between the power route and Newton's identities"
         )
     strings = [format_rational(v) for v in traces.values]
-    if args.output == "json":
-        payload = canonical_json({"t": strings}) + "\n"
-    elif args.output == "csv":
-        payload = "n,trace\n" + "".join(f"{i},{s}\n" for i, s in enumerate(strings, start=1))
-    else:
-        payload = _render_table(["n", "trace"], [[str(i), s] for i, s in enumerate(strings, start=1)])
+    rows = ([str(i), s] for i, s in enumerate(strings, start=1))
+    payload = _render(args.output, {"t": strings}, ["n", "trace"], rows)
     return payload, {"model": model_desc, "terms": args.terms, "output": args.output}
 
 
@@ -271,36 +269,31 @@ def cmd_expect(args: argparse.Namespace) -> tuple[str, dict]:
         "decimals": args.decimals,
         "output": args.output,
     }
-    if args.output == "json":
-        body = {
-            "kind": args.kind,
-            "path": args.path,
-            "terms": args.terms,
-            "values": {
-                k: [
-                    {"n": n, "exact": format_rational(v), "decimal": decimal_string(v, args.decimals)}
-                    for n, v in enumerate(seq)
-                ]
-                for k, seq in values.items()
-            },
-        }
-        return canonical_json(body) + "\n", config
+    cells = {
+        k: [(format_rational(v), decimal_string(v, args.decimals)) for v in seq]
+        for k, seq in values.items()
+    }
+    body = {
+        "kind": args.kind,
+        "path": args.path,
+        "terms": args.terms,
+        "values": {
+            k: [{"n": n, "exact": exact, "decimal": dec} for n, (exact, dec) in enumerate(pairs)]
+            for k, pairs in cells.items()
+        },
+    }
     if args.output == "csv":
-        lines = ["kind,n,exact,decimal"]
-        for k, seq in values.items():
-            for n, v in enumerate(seq):
-                lines.append(f"{k},{n},{format_rational(v)},{decimal_string(v, args.decimals)}")
-        return "\n".join(lines) + "\n", config
-    headers = ["n"]
-    for k in values:
-        headers += [k, f"{k} ~"]
-    rows = []
-    for n in range(args.terms + 1):
-        row = [str(n)]
-        for seq in values.values():
-            row += [format_rational(seq[n]), decimal_string(seq[n], args.decimals)]
-        rows.append(row)
-    return _render_table(headers, rows), config
+        # Long form: one line per (kind, n).
+        headers = ["kind", "n", "exact", "decimal"]
+        rows = ([k, str(n), *pair] for k, pairs in cells.items() for n, pair in enumerate(pairs))
+    else:
+        # Wide form: one line per n, an exact and a decimal column per kind.
+        headers = ["n", *(h for k in cells for h in (k, f"{k} ~"))]
+        rows = (
+            [str(n), *(cell for pairs in cells.values() for cell in pairs[n])]
+            for n in range(args.terms + 1)
+        )
+    return _render(args.output, body, headers, rows), config
 
 
 # ----------------------------------------------------------------- oracle
@@ -319,19 +312,16 @@ ORACLE_NAMES = (
 
 
 def _scalar_payload(args: argparse.Namespace, name: str, value: Fraction) -> str:
-    if args.output == "json":
-        return canonical_json({"oracle": name, "result": value}) + "\n"
-    if args.output == "csv":
-        return f"result\n{format_rational(value)}\n"
-    return f"{format_rational(value)}\n"
+    """One value; its table is the bare value, without the csv header."""
+    cell = format_rational(value)
+    headers = ["result"] if args.output == "csv" else None
+    return _render(args.output, {"oracle": name, "result": cell}, headers, [[cell]])
 
 
 def _coeff_payload(args: argparse.Namespace, name: str, coeffs: tuple[Fraction, ...]) -> str:
-    if args.output == "json":
-        return canonical_json({"oracle": name, "coeffs": list(coeffs)}) + "\n"
-    if args.output == "csv":
-        return "i,coeff\n" + "".join(f"{i},{format_rational(c)}\n" for i, c in enumerate(coeffs))
-    return _render_table(["i", "coeff"], [[str(i), format_rational(c)] for i, c in enumerate(coeffs)])
+    cells = [format_rational(c) for c in coeffs]
+    rows = ([str(i), c] for i, c in enumerate(cells))
+    return _render(args.output, {"oracle": name, "coeffs": cells}, ["i", "coeff"], rows)
 
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[str, dict]:
@@ -348,18 +338,9 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[str, dict]:
         config.update({"model": model_desc, "n": args.n})
         return _scalar_payload(args, name, value), config
     matrix = _load_matrix(args)
-    config["matrix"] = {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
+    config["matrix"] = _matrix_body(matrix)
     if name == "gram":
-        result = gram(matrix)
-        if args.output == "json":
-            return matrix_to_json_str(result), config
-        if args.output == "csv":
-            return (
-                "".join(",".join(format_rational(v) for v in row) + "\n" for row in result.entries),
-                config,
-            )
-        rows = [[format_rational(v) for v in row] for row in result.entries]
-        return _render_table([f"col{j}" for j in range(result.cols)], rows), config
+        return _render_matrix(args.output, gram(matrix)), config
     if name == "charpoly":
         return _coeff_payload(args, name, char_poly_coeffs_of_gram(matrix)), config
     if name == "permpoly":
@@ -379,67 +360,8 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[str, dict]:
 # --------------------------------------------------------------- simulate
 
 
-def _report_json(report: SimulationReport) -> str:
-    stats = {}
-    for kind in ("det", "perm"):
-        source = report.det_stats if kind == "det" else report.perm_stats
-        if source is None:
-            continue
-        stats[kind] = [
-            {
-                "i": s.index,
-                "normalized_mean": s.normalized_mean,
-                "normalized_stddev": s.normalized_stddev,
-                "exact": s.exact_value,
-                "z_score": s.z_score,
-            }
-            for s in source
-        ]
-    body = {
-        "n": report.n,
-        "reps": report.reps,
-        "seed": report.seed,
-        "max_index": report.max_index,
-        "kind": report.kind,
-        "mode": report.mode,
-        "stats": stats,
-    }
-    return canonical_json(body) + "\n"
-
-
-def _report_csv(report: SimulationReport) -> str:
-    """Per-replicate normalized coefficients for external boxplot tooling."""
-    kinds = [k for k in ("det", "perm") if (report.det_replicates if k == "det" else report.perm_replicates) is not None]
-    both = len(kinds) > 1
-    lines = ["kind,replicate,i,value" if both else "replicate,i,value"]
-    for kind in kinds:
-        rows = report.replicates_for(kind)
-        for r, row in enumerate(rows):
-            for i, value in enumerate(row, start=1):
-                cell = format_float(float(value))
-                lines.append(f"{kind},{r},{i},{cell}" if both else f"{r},{i},{cell}")
-    return "\n".join(lines) + "\n"
-
-
-def _report_table(report: SimulationReport, decimals: int) -> str:
-    headers = ["kind", "i", "mean", "stddev", "exact", "z"]
-    rows = []
-    for kind in ("det", "perm"):
-        source = report.det_stats if kind == "det" else report.perm_stats
-        if source is None:
-            continue
-        for s in source:
-            rows.append(
-                [
-                    kind,
-                    str(s.index),
-                    format_float(s.normalized_mean),
-                    "-" if s.normalized_stddev is None else format_float(s.normalized_stddev),
-                    decimal_string(s.exact_value, decimals),
-                    "-" if s.z_score is None else format_float(s.z_score),
-                ]
-            )
-    return _render_table(headers, rows)
+def _float_or_dash(value: float | None) -> str:
+    return "-" if value is None else format_float(value)
 
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
@@ -467,11 +389,48 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
         "guard_ops": args.guard_ops,
         "output": args.output,
     }
-    if args.output == "json":
-        return _report_json(report), manifest_config
+    kinds = ("det", "perm") if report.kind == "both" else (report.kind,)
+    stats = {kind: report.stats_for(kind) for kind in kinds}
+    body = {key: getattr(report, key) for key in ("n", "reps", "seed", "max_index", "kind", "mode")}
+    body["stats"] = {
+        kind: [
+            {
+                "i": s.index,
+                "normalized_mean": s.normalized_mean,
+                "normalized_stddev": s.normalized_stddev,
+                "exact": s.exact_value,
+                "z_score": s.z_score,
+            }
+            for s in source
+        ]
+        for kind, source in stats.items()
+    }
     if args.output == "csv":
-        return _report_csv(report), manifest_config
-    return _report_table(report, args.decimals), manifest_config
+        # Per-replicate normalized coefficients for external boxplot tooling,
+        # with a leading kind column when both kinds are sampled.
+        tag = len(kinds) > 1
+        headers = ["kind"] * tag + ["replicate", "i", "value"]
+        rows = (
+            [kind] * tag + [str(r), str(i), format_float(float(value))]
+            for kind in kinds
+            for r, row in enumerate(report.replicates_for(kind))
+            for i, value in enumerate(row, start=1)
+        )
+    else:
+        headers = ["kind", "i", "mean", "stddev", "exact", "z"]
+        rows = (
+            [
+                kind,
+                str(s.index),
+                format_float(s.normalized_mean),
+                _float_or_dash(s.normalized_stddev),
+                decimal_string(s.exact_value, args.decimals),
+                _float_or_dash(s.z_score),
+            ]
+            for kind, source in stats.items()
+            for s in source
+        )
+    return _render(args.output, body, headers, rows), manifest_config
 
 
 # ------------------------------------------------------------------ trend
@@ -507,18 +466,15 @@ def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
         "guard_ops": args.guard_ops,
         "output": args.output,
     }
-    if args.output == "json":
-        body = {
-            "kind": args.kind,
-            "i": args.index,
-            "reps": args.reps,
-            "seed": args.seed,
-            "points": [{"n": n, "stddev": s} for n, s in points],
-        }
-        return canonical_json(body) + "\n", config
-    if args.output == "csv":
-        return "n,stddev\n" + "".join(f"{n},{format_float(s)}\n" for n, s in points), config
-    return _render_table(["n", "stddev"], [[str(n), format_float(s)] for n, s in points]), config
+    body = {
+        "kind": args.kind,
+        "i": args.index,
+        "reps": args.reps,
+        "seed": args.seed,
+        "points": [{"n": n, "stddev": s} for n, s in points],
+    }
+    rows = ([str(n), format_float(s)] for n, s in points)
+    return _render(args.output, body, ["n", "stddev"], rows), config
 
 
 # ------------------------------------------------------------------- main

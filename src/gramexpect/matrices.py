@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import format_rational, parse_rational
+from .scalars import canonical_json, format_rational, parse_rational
 
 EntryLike = Fraction | int | str
 
@@ -165,7 +165,7 @@ def leverrier_char_coeffs(matrix: ExactMatrix) -> CharCoeffs:
 def matrix_to_json_str(matrix: ExactMatrix) -> str:
     """Canonical matrix file: {"rows": [[rational strings]]}, compact, one line."""
     payload = {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(payload) + "\n"
 
 
 def matrix_from_json(obj: object) -> ExactMatrix:

@@ -42,7 +42,7 @@ from struct import unpack
 from typing import Sequence
 
 from .matrices import ExactMatrix, leverrier_char_coeffs
-from .scalars import format_rational, parse_rational
+from .scalars import canonical_json, format_rational, parse_rational
 
 _TWO64 = 1 << 64
 
@@ -394,7 +394,7 @@ def model_to_dict(model: Model) -> dict:
 
 def model_to_json_str(model: Model) -> str:
     """Canonical one-line JSON: sorted keys, compact separators."""
-    return json.dumps(model_to_dict(model), sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(model_to_dict(model)) + "\n"
 
 
 def model_from_dict(obj: object) -> Model:

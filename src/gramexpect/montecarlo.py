@@ -445,6 +445,8 @@ def stddev_trend(
     """
     if kind not in ("det", "perm"):
         raise ValueError(f'trend kind must be "det" or "perm", got {kind!r}')
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must fit in 64 bits")
     if list(n_list) != sorted(set(n_list)) or not n_list:
         raise ValueError("n_list must be non-empty and strictly increasing")
     if index < 1:

@@ -141,32 +141,31 @@ def expected_perm_from_char(coeffs: CharCoeffs, count: int) -> ExpectedSequence:
     return ExpectedSequence(KIND_PERM, PATH_CHAR, values)
 
 
-def _trace_log_series(traces: TraceSequence, order: int, signed: bool) -> TruncatedSeries:
-    if len(traces) < order:
-        raise ValueError(f"trace sequence too short: need t_1..t_{order}, have {len(traces)}")
-    coeffs = [Fraction(0)] * (order + 1)
-    for k in range(1, order + 1):
-        term = Fraction(traces[k], k)
-        coeffs[k] = -term if signed and k % 2 == 0 else term
-    return TruncatedSeries(tuple(coeffs))
+def _egf_values(weights: Sequence[Fraction | int], count: int, signed: bool) -> tuple[Fraction, ...]:
+    """n! [u^n] exp(sum_i X_i u^i / i) for n = 0..count, where X_i = weights[i - 1].
+
+    With ``signed`` each X_i is replaced by (-1)^(i-1) X_i, the determinant
+    weighting.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    if len(weights) < count:
+        raise ValueError(f"need weights X_1..X_{count}, have {len(weights)}")
+    log = [Fraction(0)] + [
+        Fraction(-x if signed and i % 2 == 0 else x, i) for i, x in enumerate(weights[:count], start=1)
+    ]
+    expanded = TruncatedSeries(tuple(log)).exp()
+    return tuple(factorial(n) * expanded.coefficient(n) for n in range(count + 1))
 
 
 def egf_expand_det(traces: TraceSequence, count: int) -> ExpectedSequence:
     """a_0..a_count as n! times the EGF coefficients."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    expanded = _trace_log_series(traces, count, signed=True).exp()
-    values = tuple(factorial(n) * expanded.coefficient(n) for n in range(count + 1))
-    return ExpectedSequence(KIND_DET, PATH_EGF, values)
+    return ExpectedSequence(KIND_DET, PATH_EGF, _egf_values(traces.values, count, signed=True))
 
 
 def egf_expand_perm(traces: TraceSequence, count: int) -> ExpectedSequence:
     """p_0..p_count as n! times the EGF coefficients, all-plus signs."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    expanded = _trace_log_series(traces, count, signed=False).exp()
-    values = tuple(factorial(n) * expanded.coefficient(n) for n in range(count + 1))
-    return ExpectedSequence(KIND_PERM, PATH_EGF, values)
+    return ExpectedSequence(KIND_PERM, PATH_EGF, _egf_values(traces.values, count, signed=False))
 
 
 def weighted_cycle_sum(weights: Sequence[Fraction | int], n: int, signed: bool = False) -> Fraction:
@@ -177,18 +176,7 @@ def weighted_cycle_sum(weights: Sequence[Fraction | int], n: int, signed: bool =
     replaced by (-1)^(i-1) X_i, which recovers the determinant weighting.
     At X_i = t_i this returns p_n (unsigned) or a_n (signed).
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if len(weights) < n:
-        raise ValueError(f"need weights X_1..X_{n}, have {len(weights)}")
-    coeffs = [Fraction(0)] * (n + 1)
-    for i in range(1, n + 1):
-        x = Fraction(weights[i - 1])
-        if signed and i % 2 == 0:
-            x = -x
-        coeffs[i] = x / i
-    expanded = TruncatedSeries(tuple(coeffs)).exp()
-    return factorial(n) * expanded.coefficient(n)
+    return _egf_values(weights, n, signed)[n]
 
 
 def expected_coefficient(n: int, i: int, seq: ExpectedSequence) -> Fraction:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -288,6 +289,13 @@ class TestTrendCommand:
         proc = run_cli("trend", "--paper", "--n-list", "6,4", "--reps", "2")
         assert proc.returncode == 2
 
+    def test_seed_beyond_64_bits_exits_2(self, capsys):
+        code = cli.main(["trend", "--paper", "--n-list", "5,9", "--reps", "3", "--seed", str(2**64)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "seed must fit in 64 bits" in captured.err
+        assert captured.out == ""
+
     def test_perm_run_refused_at_its_largest_n_at_once(self, capsys):
         argv = ["trend", "--paper", "--kind", "perm", "--index", "4", "--n-list", "100,400,3000"]
         start = time.perf_counter()
@@ -358,3 +366,201 @@ class TestManifest:
         proc = run_cli("expect")
         assert proc.returncode == 2
         assert all("output_sha256" not in line for line in proc.stderr.splitlines())
+
+
+# Frozen stdout SHA-256 and exit code of every command in every output
+# format, plus the edge cases of each layout: any change to these bytes is a
+# change to the CLI's output. "@name" arguments are replaced by the path of
+# GOLDEN_FILES[name].
+GOLDEN_FILES = {
+    "atoms": (
+        '{"type":"atoms","t":2,"atoms":['
+        '{"vector":["1/2","-1"],"prob":"1/3"},'
+        '{"vector":["2","1/3"],"prob":"1/2"},'
+        '{"vector":["0","3/2"],"prob":"1/6"}]}\n'
+    ),
+    "compound": (
+        '{"type":"compound","t":3,"probs":["1/2","1/4","1/4"],'
+        '"ell_law":[{"ell":1,"prob":"1/2"},{"ell":3,"prob":"1/2"}]}\n'
+    ),
+    "matrix": '{"rows":[["1","1/2","0"],["-1","2","1/3"],["2/3","0","-3"]]}\n',
+    "empty": '{"rows":[]}\n',
+}
+
+
+def _golden_cases() -> dict[str, list[str]]:
+    models = {"paper": ["--paper"], "atoms": ["--model", "@atoms"], "compound": ["--model", "@compound"]}
+    commands = {
+        "moments": ["moments"],
+        "traces": ["traces", "-N", "5"],
+        "expect": ["expect", "-N", "5"],
+        "simulate": ["simulate", "-n", "6", "--reps", "4", "--max-index", "3", "--seed", "7"],
+        "trend": ["trend", "--n-list", "4,7", "--reps", "3", "--index", "2", "--seed", "7"],
+    }
+    per_output = {
+        f"{command}-{model}": argv + margv
+        for command, argv in commands.items()
+        for model, margv in models.items()
+    }
+    per_output.update(
+        {
+            f"oracle-{name}": ["oracle", name, "--matrix", "@matrix"]
+            for name in ("det-expansion", "perm-expansion", "ryser", "bareiss", "charpoly", "permpoly", "gram")
+        }
+    )
+    per_output.update(
+        {
+            "oracle-permpoly-max-index": ["oracle", "permpoly", "--matrix", "@matrix", "--max-index", "2"],
+            "oracle-gram-empty": ["oracle", "gram", "--matrix", "@empty"],
+            "oracle-brute-det": ["oracle", "brute-det", "--model", "@atoms", "-n", "3"],
+            "oracle-brute-perm": ["oracle", "brute-perm", "--model", "@atoms", "-n", "3"],
+            "expect-N0": ["expect", "--paper", "-N", "0"],
+            "expect-decimals0": ["expect", "--paper", "-N", "4", "--decimals", "0"],
+            "expect-perm-egf": ["expect", "--paper", "-N", "4", "--kind", "perm", "--path", "egf"],
+            "simulate-max-index0": ["simulate", "--paper", "-n", "3", "--reps", "2", "--max-index", "0"],
+            "simulate-both": ["simulate", "--paper", "-n", "5", "--reps", "3", "--max-index", "2",
+                              "--kind", "both", "--seed", "1"],
+            "simulate-perm": ["simulate", "--model", "@atoms", "-n", "5", "--reps", "3", "--max-index", "4",
+                              "--kind", "perm", "--seed", "2", "--decimals", "5"],
+            "trend-perm": ["trend", "--paper", "--kind", "perm", "--n-list", "5,8", "--reps", "3",
+                           "--index", "3", "--seed", "4"],
+            "guard-exit-3": ["simulate", "--paper", "-n", "60", "--reps", "5", "--max-index", "20",
+                             "--kind", "perm", "--guard-ops", "1000"],
+            "usage-exit-2": ["expect", "--paper", "-N", "-1"],
+        }
+    )
+    return {
+        f"{case}-{output}": [*argv, "--output", output]
+        for case, argv in per_output.items()
+        for output in cli.OUTPUT_CHOICES
+    }
+
+
+GOLDEN_CASES = _golden_cases()
+GOLDEN = {
+    "moments-paper-json": (0, "53501a424aec82678d4ca84017a1df98bf31256ab08904986add6ca30e148667"),
+    "moments-paper-csv": (0, "dbafd10b05a473065fc37e67483b4aeaf198c5ece99b4d4ecd1a296f166ba68c"),
+    "moments-paper-table": (0, "dc5de2d25ad2d43c7397a333c055957ea0153e620dcb4af7d1d1a85ac7471bda"),
+    "moments-atoms-json": (0, "1459acbaac128be78c3d36e6763f8012f038ee5e1e355e0ebb784c75aca4e92b"),
+    "moments-atoms-csv": (0, "878f80555ed07c4f4fdea01ba7ec954c33c2ee11351ecce6a255c9e66f332f2e"),
+    "moments-atoms-table": (0, "8818ff1d30522cb88e4ae936d115932d9281386c04ecb67e88d4351e6f6818f5"),
+    "moments-compound-json": (0, "21a14e352586cf12115c3c6266968467a85a6c58150a9c3fc2b193c91317447d"),
+    "moments-compound-csv": (0, "dbbca4a81ff69af89a7416702e5a6b07deb1e117017df94b4220a49b7d7cadd7"),
+    "moments-compound-table": (0, "bce948e866612dc1f762a534822c45245260af2008ac1ebd40bb629ec570a95e"),
+    "traces-paper-json": (0, "2b48d660b7a886f9179fe88aaa1de73bb773d5f9dc0a988e61178a609da24192"),
+    "traces-paper-csv": (0, "83366209dcd39879130eecea481599d9f0f9f0c9cef17967a3d6b29e85651bff"),
+    "traces-paper-table": (0, "52221eafef9212cc542ebce88895a51facb0e8b68686cf3112d159cd194bbbb3"),
+    "traces-atoms-json": (0, "bbd7cb9f35ad9102a52d5040a365cab60ee41e4f62e95b7cdafbac61eb096223"),
+    "traces-atoms-csv": (0, "12f0415ba8eeeb9df5346be96d14911fdbc8ec719a9437cd7a179f9c248afd94"),
+    "traces-atoms-table": (0, "1c29bad228fe4495a780df71a6ca4321d7837e106a1262ea0d905120d5b26921"),
+    "traces-compound-json": (0, "dae9fb89a3af836af36e3f190db4c8a768ca35f6a76269347e832472d22a0819"),
+    "traces-compound-csv": (0, "702556a9acc3993c02d243e1cfde381b427ac161bf90814f0f371b6303d66acc"),
+    "traces-compound-table": (0, "3d1bedf8c7e2cc10db8f25240ef71b8679fe8bf4b0c36b97413b117eca4ffe2b"),
+    "expect-paper-json": (0, "29f5dc7c6311c6c18603596fd29f0ce51f6ad9b1ee4019ef310187918fcd4505"),
+    "expect-paper-csv": (0, "027396680fee5bfe8f2948082b22b54f6c62dc506df6cf64078591758a4d5418"),
+    "expect-paper-table": (0, "c44eafdec285e987ade2149377b2c9b6e4bf43f789900956e9cec19d1c731de4"),
+    "expect-atoms-json": (0, "4e13f7dc3651b4de6e4899dfd5d6984ca35e0f0b0c7ff6f51c803a3b0423f676"),
+    "expect-atoms-csv": (0, "11dec2971e363fc1fe2de7a899abc9d9d625357692b98e8312256b2cddd9306a"),
+    "expect-atoms-table": (0, "20830a2ef5fd7a82c44c2821bd01b63e32467d8a3edbd67708b1b75db986f7cf"),
+    "expect-compound-json": (0, "fce8259df1cf5998c344846b4802964408a4fdb54df6a04c1bebacaad19e33f2"),
+    "expect-compound-csv": (0, "e400d897214f55bfd58c21701ee6fa26a7c084628650836f8275ddd907ace7c8"),
+    "expect-compound-table": (0, "146449727e997a8e96782ef6fdc218b3cf9b4a49e3ac50a042a33150aaf285d0"),
+    "simulate-paper-json": (0, "d76a6832c530dd7a42e914afac7fdae62c6b811ff1ce559ec3fd5acd514dfa2b"),
+    "simulate-paper-csv": (0, "75bd1060112afffc721f21c3567b54e72c7e523b434c95c59b8282be514feb7a"),
+    "simulate-paper-table": (0, "52bef01c3632161a5c512fa9a79f162840536d372152ac6fe2917dce4004fa6b"),
+    "simulate-atoms-json": (0, "d9bebd5647ffc6f3a58779c40e677545492c285815535daa0eb8fe2e48a3c9e8"),
+    "simulate-atoms-csv": (0, "f008e64db034994617b3db59bd9def23bcbc2fea89622c7f450c14e5f98874bc"),
+    "simulate-atoms-table": (0, "8b419e67ed2e6b406387e92e1d425f6850758ab83c9f1b05ea2f6520ca584787"),
+    "simulate-compound-json": (0, "9a59a7bf9183b662ccd22246a573a41f4095928781fbdccfb8a48740ac7b88c6"),
+    "simulate-compound-csv": (0, "383adbc93ccfbb894ab93ee878c2af5e868692d5dd022bd67497f93bbc082a8d"),
+    "simulate-compound-table": (0, "f627f48210f03347953a7d24cde987238edc271b6bf750db2c69d7161a978eff"),
+    "trend-paper-json": (0, "6990bb25762d43a8c44896420ea3386156096d0e49188598284608debf7838d0"),
+    "trend-paper-csv": (0, "cce422ce0cc80bdd536c14767b5cec81e8665594a1ca4a520dd96fd173a355c3"),
+    "trend-paper-table": (0, "1913fe90b6bf273b24128cf859f8d29c869d4b803f949b9e2cadf330cd3f1f06"),
+    "trend-atoms-json": (0, "6047afe2ba22e2618f0ecac697b45ad567bf917f8a9986f2ef87730f0b767305"),
+    "trend-atoms-csv": (0, "291d565f0debaca59a6da872fdf0faa069ebb2c8f182c9ae83a5d8c07b5b8802"),
+    "trend-atoms-table": (0, "74dcb5eecc891a9ff9b7784f81da742e0eebce68d4a726466a14732d775706c8"),
+    "trend-compound-json": (0, "aa71bc873b515f044485c798c1f559ecece421eccf07f6cc4fbcfcdb7c82ffdf"),
+    "trend-compound-csv": (0, "c8a8e4a8e7a7bdcbba532cb98b99f47bb796ab90bf454ffb8a21fc197e66bee8"),
+    "trend-compound-table": (0, "5c65f0d3e964e6e02cb8c3bd7923409bed4be1b4139054c36698f10a857ceece"),
+    "oracle-det-expansion-json": (0, "52d84ba18707be08a626d86b978d7a41822dc0a2d57bef6bb6c1a5874d3839e6"),
+    "oracle-det-expansion-csv": (0, "9cb840c6932bbe4f536d21da9209a7f8d9caf0b580d32cc284994326da0e5eec"),
+    "oracle-det-expansion-table": (0, "8d88382247d38164f08e7dc44b37ba10abf55a9b4f560c178e252091104cf3ad"),
+    "oracle-perm-expansion-json": (0, "429aefdcf815b68d8388a39665c9db98c10953000c21137c6083ba98152b3daf"),
+    "oracle-perm-expansion-csv": (0, "5ce7753fb4d926f431af0b3ec26d4588100eddc185112549643a9a9d3342a2d0"),
+    "oracle-perm-expansion-table": (0, "7f6d9f427d428ea7ced77a119d519e19c2ab4fa2913777c3ad764fb6cfea07bb"),
+    "oracle-ryser-json": (0, "884d6307f7243615f7897342f0215c0e484f3c81f2a8fad843a6c452b3721fbb"),
+    "oracle-ryser-csv": (0, "5ce7753fb4d926f431af0b3ec26d4588100eddc185112549643a9a9d3342a2d0"),
+    "oracle-ryser-table": (0, "7f6d9f427d428ea7ced77a119d519e19c2ab4fa2913777c3ad764fb6cfea07bb"),
+    "oracle-bareiss-json": (0, "05cc768a61de73f117467ec83919b3808120a07c76ee1dca20aecaa2a29cb161"),
+    "oracle-bareiss-csv": (0, "9cb840c6932bbe4f536d21da9209a7f8d9caf0b580d32cc284994326da0e5eec"),
+    "oracle-bareiss-table": (0, "8d88382247d38164f08e7dc44b37ba10abf55a9b4f560c178e252091104cf3ad"),
+    "oracle-charpoly-json": (0, "b296349f99d7637f30d1ac1d559bf00c009f3b4ecbc1b89e44556badf00b8a2e"),
+    "oracle-charpoly-csv": (0, "7811bc755e4c48cbe610983b299949bc5d989c8fd82e11795a51b3c7aae2e931"),
+    "oracle-charpoly-table": (0, "7fbeefc7ec25bd958aaa812e2d6a3c3dd4eb62285e5e2f59dad26f4dd4fa041a"),
+    "oracle-permpoly-json": (0, "d842638151185fb744adc2d31231e41b842a733b9bc3a2fedd9f1f73bdf35a20"),
+    "oracle-permpoly-csv": (0, "86311e550231c95371c0f9ed7fbe0e2555aec8bc933512565eae8a0ec7ca5d48"),
+    "oracle-permpoly-table": (0, "516e6cc6c5f2134842d86af6d95d46897e94806d18516e3f2eadc11c277797e2"),
+    "oracle-gram-json": (0, "b3e046354c6556a87a84e6c63a8ad8163ec747c3d1aa906b4ca90d7b00834fe7"),
+    "oracle-gram-csv": (0, "4c9ded6c8b15a3eef386594c24464a17e76bc90ec7238f7df6635fc322243152"),
+    "oracle-gram-table": (0, "8406fdaeac6313543c7755b10fe237df4191a0f935416963151ff59b17874f5a"),
+    "oracle-permpoly-max-index-json": (0, "7f404cc2cdb58ef14154c97adb8e07de5466d628e705bdf141f8dc06f736bac9"),
+    "oracle-permpoly-max-index-csv": (0, "1879793cfac38cef48e045d8c4d34434718ff89c9ca7a5795dbaf4509c59ef4c"),
+    "oracle-permpoly-max-index-table": (0, "a044dec74262a131a85671573ddac09ace9117b1898e2af783b9bf37e4da1a47"),
+    "oracle-gram-empty-json": (0, "6c45288a5e9d1444ab024fac905b02495e73426d74e22544bbf867e5f4811680"),
+    "oracle-gram-empty-csv": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "oracle-gram-empty-table": (0, "01ba4719c80b6fe911b091a7c05124b64eeece964e09c058ef8f9805daca546b"),
+    "oracle-brute-det-json": (0, "8353dea399dbe8e62ce6df5792f1a2fb6c545957b69df69b7fd07e6923774f98"),
+    "oracle-brute-det-csv": (0, "173fdf4c210141974cabe2b42ed5c369673aad72d398414e82e591cb63c16b9c"),
+    "oracle-brute-det-table": (0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    "oracle-brute-perm-json": (0, "2c337dacb8abdc7b518704cded2b3879e75bfce6c98346e7995502138f9c3963"),
+    "oracle-brute-perm-csv": (0, "b6a4719a7bbb1ec30c9ef5388756c944dd1dc5f0605f1475c6979a2825706c80"),
+    "oracle-brute-perm-table": (0, "041ccffe89b5f8634d0c4e81a37140e4dd3fb019d32223eba37635f909237bea"),
+    "expect-N0-json": (0, "d37a97e3e704308d6e5f922dc7e3c463843f163ab7558f41fd2af604a23c71a3"),
+    "expect-N0-csv": (0, "515425b5bd316594e6bb8156b2db5111843f2622660189f652ff09470f3cb542"),
+    "expect-N0-table": (0, "2ead9090eaa4c1e60abda5b98447499e91ae0aed8ee26bce0526f5714fecc69c"),
+    "expect-decimals0-json": (0, "7d9585ee680d33b5204bf220ce604ba59ed3d254881dd9569e5a7d04ddd5d104"),
+    "expect-decimals0-csv": (0, "7516d17f59df2a04f28fa008f9c7321ad3e937a5ba12beb406c6c9a3f8239c97"),
+    "expect-decimals0-table": (0, "fa6423e482e64845f59f8fdab3c75646dba8d173dfa7cfaceae120fd9ffede8f"),
+    "expect-perm-egf-json": (0, "1f80c0bfff362cde6471197d6fa290621f8ff639120fa5f46fe82edeacac578a"),
+    "expect-perm-egf-csv": (0, "9fbedde1144ab1e10f630d6628c82676203514efb4453733013e26874b25a0f6"),
+    "expect-perm-egf-table": (0, "405812b044d430d430b95ab43bc276e257f0dc50025a160efeb278926f0318c6"),
+    "simulate-max-index0-json": (0, "9fa17b3c5f4c78df9903ca8b94a9029ea7ded7df69743b97e4434b12651fff80"),
+    "simulate-max-index0-csv": (0, "748dd262159e864b28055d5906a597387ff5b2d562e5da4f7281709c221596ca"),
+    "simulate-max-index0-table": (0, "f4451d8980963b8a40d9762957a809d27b07e567fd151a81ff9ae1ebe2d7eee8"),
+    "simulate-both-json": (0, "ab832fe3148de44b4ce5fe866f8cc958c482911ba9da76b0aa1da63d367bca21"),
+    "simulate-both-csv": (0, "55a74ad504655f5ae50ba9a5f268d45d1bdd4d37b0b97abce5115cee4653dc3b"),
+    "simulate-both-table": (0, "779d62396be489b2e34ce4a6a55efd8461f7a110c4933fe4b86546829b75ee6f"),
+    "simulate-perm-json": (0, "8f6888ff8bbd5ad5e65cd9f24f95b0f0c23fc7a4f390e46cc80bf19e69e1ecd6"),
+    "simulate-perm-csv": (0, "ee6cee28d78e489e578197b79969b54dd614026a103a43aaffbf07148c2d04c5"),
+    "simulate-perm-table": (0, "8d184194ced9478960cc82dc232ae5b4ec510045fe3387fc7d715f4126fdeddd"),
+    "trend-perm-json": (0, "710d352078b875cd13458e767464b6e3520ed1c410e5ccb047f65e624fa137e1"),
+    "trend-perm-csv": (0, "7277e51cececcb9961c6511cb7ee640195538abcf2661d71cd2eaabc79976369"),
+    "trend-perm-table": (0, "bec9a3f9204ddfd27d408db902b7edc4ff6436c840f68f13ef2e36965ab88cf8"),
+    "guard-exit-3-json": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "guard-exit-3-csv": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "guard-exit-3-table": (3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "usage-exit-2-json": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "usage-exit-2-csv": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "usage-exit-2-table": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+class TestGoldenOutput:
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch):
+        for name in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+            monkeypatch.delenv(name)
+        paths = {}
+        for name, text in GOLDEN_FILES.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            paths[f"@{name}"] = str(path)
+        return paths
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_stdout_and_exit_code_frozen(self, case, files, capsys):
+        argv = [files.get(arg, arg) for arg in GOLDEN_CASES[case]]
+        code = cli.main(argv)
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert (code, digest) == GOLDEN[case]

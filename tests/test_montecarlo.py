@@ -432,3 +432,12 @@ class TestTrend:
             stddev_trend(TWO_ATOMS, [], reps=2, index=1, kind="det", seed=0)
         with pytest.raises(ValueError):
             stddev_trend(TWO_ATOMS, [4], reps=2, index=0, kind="det", seed=0)
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_outside_64_bits_refused_before_any_work(self, monkeypatch, seed):
+        # 2^64 used to wrap silently onto the streams of seed 0.
+        import gramexpect.montecarlo as montecarlo
+
+        monkeypatch.setattr(montecarlo, "_replicate_worker", None)
+        with pytest.raises(ValueError, match="64 bits"):
+            stddev_trend(paper_model(), [5, 9], reps=3, index=2, kind="det", seed=seed)
