@@ -25,6 +25,7 @@ streams are reproducible bit for bit and independent of float rounding.
 top byte, or by an exact ``bisect_right`` on the full word whenever a
 threshold falls inside that byte, so the stream is unchanged; count columns
 are tallied in C by big-integer convolution or ``bytes.count``.
+``sample_rows`` hands convolved counts back as the bytes rows of A.
 """
 
 from __future__ import annotations
@@ -282,22 +283,25 @@ def _chunks(total: int, size: int) -> list[int]:
     return [size] * (total // size) + [total % size] * (total % size > 0)
 
 
-def _convolved_columns(sampler: CategoricalSampler, rng: Random, ell: int, t: int, n: int) -> list:
-    """n columns of 0 < ell < 255 trials over t < 255 categories, whole columns per block.
+def _convolved_rows(model: Model, n: int, rng: Random) -> list[bytes] | None:
+    """The t count rows (one byte per column) of n multinomial columns, or None.
 
-    Byte j of int(draws == c) * sum_{i<ell} 256^i counts c in the ell draws
-    ending at j: at most ell, so no byte carries.
+    None, drawing nothing, unless n > 1, 0 < ell < 64 and t < 255. Blocks
+    hold whole columns. Byte j of int(draws == c) * sum_{i<ell} 256^i counts
+    c in the ell draws ending at j: at most ell, so no byte carries.
     """
+    multinomial = isinstance(model, MultinomialCountModel)
+    if not (multinomial and n > 1 and 0 < model.ell < _CONVOLVE_BELOW and model.t < _SENTINEL):
+        return None
+    sampler, ell = model._sampler, model.ell
     window = int.from_bytes(b"\1" * ell, "little")
-    columns: list[tuple[int, ...]] = []
+    parts: list[list[bytes]] = [[] for _ in sampler._onehots]
     for m in _chunks(n, _BLOCK // ell):
         cats = sampler.categories(rng, m * ell)
-        columns += zip(*(
-            (int.from_bytes(cats.translate(onehot), "little") * window)
-            .to_bytes((m + 1) * ell, "little")[ell - 1 : m * ell : ell]
-            for onehot in sampler._onehots
-        ))
-    return columns
+        for part, onehot in zip(parts, sampler._onehots):
+            convolved = int.from_bytes(cats.translate(onehot), "little") * window
+            part.append(convolved.to_bytes((m + 1) * ell, "little")[ell - 1 : m * ell : ell])
+    return [b"".join(part) for part in parts]
 
 
 def _count(cats: bytearray | list[int], t: int) -> tuple[int, ...]:
@@ -327,17 +331,27 @@ def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ..
     (a compound column takes one word for ell, then ell trial words).
     Extra memory is O(block + n t) however long a column is.
     """
+    rows = _convolved_rows(model, n, rng)
+    if rows is not None:
+        return list(zip(*rows))
     if isinstance(model, DiscreteVectorDistribution):
         vectors = [vec for vec, _ in model.atoms]
         draws = (model._sampler.categories(rng, k) for k in _chunks(n, _BLOCK))
         return list(map(vectors.__getitem__, chain.from_iterable(draws)))
     t = model.t
     if isinstance(model, MultinomialCountModel):
-        if n > 1 and 0 < model.ell < _CONVOLVE_BELOW and t < _SENTINEL:
-            return _convolved_columns(model._sampler, rng, model.ell, t, n)
         return [_counted_column(model._sampler, rng, model.ell, t) for _ in range(n)]
     ells = [ell for ell, _ in model.ell_law]
     return [_counted_column(model._sampler, rng, ells[model._ell_sampler.draw(rng)], t) for _ in range(n)]
+
+
+def sample_rows(model: Model, n: int, rng: Random) -> list[bytes] | list[tuple]:
+    """The rows of A, i.e. ``sample_columns`` transposed, from the same words.
+
+    Convolved multinomial counts stay t bytes rows, one byte per column.
+    """
+    rows = _convolved_rows(model, n, rng)
+    return list(zip(*sample_columns(model, n, rng))) if rows is None else rows
 
 
 def sample_vector(model: Model, rng: Random) -> tuple[Fraction, ...] | tuple[int, ...]:

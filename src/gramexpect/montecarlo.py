@@ -23,15 +23,15 @@ Two contracts shape the implementation:
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, lcm, sqrt
 from operator import mul
 from random import Random
 
 # sample_vector is no longer called here but stays importable from this module.
-from .models import Model, column_draws, moment_matrix, sample_columns, sample_vector
+from .models import Model, column_draws, moment_matrix, sample_columns, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
 from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
@@ -143,37 +143,64 @@ def _gram_entries(columns: list[tuple]) -> ExactMatrix:
     return gram(ExactMatrix.from_rows(zip(*columns)))
 
 
-def _char_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Fraction, ...]:
-    """b_1..b_max_index of gram(columns), exactly, at any n.
+# W from count rows below 16: each count's square, and the product of the
+# two counts packed in a byte as (x << 4) + y.
+_SQUARE = bytes(b * b for b in range(16)) + bytes(240)
+_PRODUCT = bytes((b >> 4) * (b & 15) for b in range(256))
+
+
+def _row_gram(rows: list, max_count: int = 255) -> list[list[int]]:
+    """W = A A^T of integer rows, one entry of its upper triangle at a time.
+
+    Bytes rows whose entries are at most ``max_count`` < 16 use the byte
+    tables: W_ii sums row i's squares, and W_ij the byte products of
+    (row_i << 4) + row_j, in which no byte carries. Other rows take
+    ``sum(map(mul))``.
+    """
+    t = len(rows)
+    w = [[0] * t for _ in range(t)]
+    if isinstance(rows[0], bytes) and max_count < 16:
+        n, ints = len(rows[0]), [int.from_bytes(row, "little") for row in rows]
+        for i in range(t):
+            w[i][i] = sum(rows[i].translate(_SQUARE))
+            for j in range(i + 1, t):
+                w[i][j] = w[j][i] = sum(((ints[i] << 4) + ints[j]).to_bytes(n, "little").translate(_PRODUCT))
+        return w
+    for i in range(t):
+        for j in range(i, t):
+            w[i][j] = w[j][i] = sum(map(mul, rows[i], rows[j]))
+    return w
+
+
+def _char_coefficient_values(rows: list, max_index: int, max_count: int = 255) -> tuple[Fraction, ...]:
+    """b_1..b_max_index of the Gram matrix of A, exactly, at any n, from the rows of A.
 
     Works on W = A A^T (t x t, t the column dimension): its power sums equal
     those of the Gram matrix, and elementary symmetric functions of a
     spectrum ignore extra zero eigenvalues, so e_k(G) = e_k(W) for k up to
     n, with e_k(W) = 0 past the rank. Cost is O(t^2 n + t^3 max_index).
-    Count columns are ints; atom columns are Fractions and are scaled by the
-    lcm D of their denominators. W is then an integer matrix, built from
-    the rows of A one dot product per entry of its upper triangle; its
-    power sums and Newton's identities run in ints, and e_k is divided by
-    D^(2k) once at the end.
+    Count rows are ints or bytes (``max_count`` bounds their entries); atom
+    rows are Fractions and are scaled by the lcm D of their denominators, so
+    W is an integer matrix (``_row_gram``). The power sums need only W^k up
+    to k = ceil(m/2), as tr(W^(2k)) = <W^k, W^k> and
+    tr(W^(2k+1)) = <W^k, W^(k+1)>; they and Newton's identities run in
+    ints, and e_k is divided by D^(2k) once at the end.
     """
     if max_index == 0:
         return ()
-    rows = list(zip(*columns))
     scale = 1
     if isinstance(rows[0][0], Fraction):
         scale = lcm(*(x.denominator for row in rows for x in row))
         rows = [[int(x * scale) for x in row] for row in rows]
-    t = len(rows)
-    w = [[0] * t for _ in range(t)]
-    for i in range(t):
-        for j in range(i, t):
-            w[i][j] = w[j][i] = sum(map(mul, rows[i], rows[j]))
-    power = w
-    power_sums = [sum(power[i][i] for i in range(t))]
-    for _ in range(1, max_index):
+    w = _row_gram(rows, max_count)
+    t = len(w)
+    # powers[k] is W^k from W^0 = I, so tr(W) = <W^0, W^1> takes the same formula.
+    powers = [[[int(i == j) for j in range(t)] for i in range(t)], w]
+    while 2 * len(powers) - 2 < max_index:
         # W and its powers are symmetric: column j of W is row j.
-        power = [[sum(map(mul, row, w_row)) for w_row in w] for row in power]
-        power_sums.append(sum(power[i][i] for i in range(t)))
+        powers.append([[sum(map(mul, row, w_row)) for w_row in w] for row in powers[-1]])
+    flat = [list(chain.from_iterable(power)) for power in powers]
+    power_sums = [sum(map(mul, flat[k // 2], flat[(k + 1) // 2])) for k in range(1, max_index + 1)]
     elementary = integer_elementary_from_power_sums(power_sums, max_index)
     return tuple(Fraction(e, scale ** (2 * k)) for k, e in enumerate(elementary[1:], start=1))
 
@@ -325,17 +352,20 @@ def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
 def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
     model, n, max_index, kind, wick, op_budget, stream_seed = args
     rng = Random(stream_seed)
-    columns = sample_columns(model, n, rng)
-    det_values = perm_values = None
-    if kind in ("det", "both"):
-        det_values = _char_coefficient_values(columns, max_index) if n else ()
-    if kind in ("perm", "both"):
-        if wick:
-            perm_values = _perm_coefficient_values(columns, max_index)
-        else:
-            g = _gram_entries(columns)
-            perm_values = permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:]
-    return det_values, perm_values
+    det_values = None
+    if kind == "perm":
+        columns = sample_columns(model, n, rng)
+    else:
+        rows = sample_rows(model, n, rng)
+        # A count never exceeds the trials of its column, column_draws(model).
+        det_values = _char_coefficient_values(rows, max_index, column_draws(model)) if n else ()
+        if kind == "det":
+            return det_values, None
+        columns = list(zip(*rows))
+    if wick:
+        return det_values, _perm_coefficient_values(columns, max_index)
+    g = _gram_entries(columns)
+    return det_values, permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:]
 
 
 def _aggregate(
@@ -344,33 +374,25 @@ def _aggregate(
     max_index: int,
     exact_seq: ExpectedSequence,
 ) -> tuple[tuple[CoefficientStats, ...], tuple[tuple[Fraction, ...], ...]]:
+    """Statistics of the values over C(n, i) from S1 = sum v and S2 = sum v^2, in ints if all are.
+
+    mean = S1 / (reps C), variance = (reps S2 - S1^2) / (reps (reps - 1) C^2).
+    """
     reps = len(raw_rows)
     normalized = tuple(
         tuple(row[i - 1] / comb(n, i) for i in range(1, max_index + 1)) for row in raw_rows
     )
     stats = []
-    for i in range(1, max_index + 1):
-        values = [row[i - 1] for row in normalized]
-        mean = sum(values, Fraction(0)) / reps
-        exact = exact_seq[i]
-        if reps > 1:
-            variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / (reps - 1)
-            stddev: float | None = sqrt(float(variance))
-        else:
-            stddev = None
-        if stddev:
-            z: float | None = float(mean - exact) / (stddev / sqrt(reps))
-        else:
-            z = None
-        stats.append(
-            CoefficientStats(
-                index=i,
-                normalized_mean=float(mean),
-                normalized_stddev=stddev,
-                exact_value=exact,
-                z_score=z,
-            )
-        )
+    for i, values in enumerate(zip(*raw_rows), start=1):
+        if all(v.denominator == 1 for v in values):
+            values = [v.numerator for v in values]
+        s1, s2, c = sum(values), sum(map(mul, values, values)), comb(n, i)
+        mean, exact = Fraction(s1, reps * c), exact_seq[i]
+        stddev = sqrt(float(Fraction(reps * s2 - s1 * s1, reps * (reps - 1) * c * c))) if reps > 1 else None
+        z = float(mean - exact) / (stddev / sqrt(reps)) if stddev else None
+        stats.append(CoefficientStats(
+            index=i, normalized_mean=float(mean), normalized_stddev=stddev, exact_value=exact, z_score=z
+        ))
     return tuple(stats), normalized
 
 
@@ -396,6 +418,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
         results = [_replicate_worker(item) for item in work]
     else:
         chunk = max(1, config.reps // (threads * 4))
+        from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_replicate_worker, work, chunksize=chunk))
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -49,6 +51,15 @@ class TestBasics:
         proc = run_cli("expect")
         assert proc.returncode == 2
         assert "--model" in proc.stderr
+
+    def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
+        # Only simulate with --threads > 1 imports concurrent.futures.process.
+        code = "import sys, gramexpect.cli; print('concurrent.futures.process' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
 
     def test_float_probability_in_model_file_exits_2(self, tmp_path):
         path = tmp_path / "float.json"

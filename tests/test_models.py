@@ -24,7 +24,7 @@ from gramexpect import (
     sample_count_vector,
     sample_vector,
 )
-from gramexpect.models import sample_columns
+from gramexpect.models import sample_columns, sample_rows
 
 from conftest import random_atoms_distribution, random_prob_vector
 
@@ -415,6 +415,54 @@ class TestSampleColumns:
         assert sum(column) == 10**6
         # One block is 4096 words; 10^6 words would take 8 MB even as raw bytes.
         assert peak < 1 << 20
+
+
+# 409 = 4096 // 10 columns fill one block at ell = 10, so 410 opens a second and 818 fills it.
+ROW_CASES = {
+    **{
+        f"ell-{ell}-n-{n}": (MultinomialCountModel(ell=ell, probs=probs), n)
+        for ell in (1, 10, 15, 16, 40, 63, 64)
+        for n in (1, 409, 410, 818)
+        for probs in [paper_model().probs if ell == 10 else _NON_DYADIC]
+    },
+    "non-dyadic-ell-10-across-blocks": (MultinomialCountModel(ell=10, probs=_NON_DYADIC), 410),
+    "n-zero": (paper_model(), 0),
+    "ell-zero": (MultinomialCountModel(ell=0, probs=(F(1, 2), F(1, 2))), 5),
+    "multinomial-300-categories": STREAM_CASES["multinomial-300-categories"],
+    "atoms": STREAM_CASES["atoms-with-zero-prob-atom"],
+    "compound": STREAM_CASES["compound"],
+    "compound-non-dyadic-above-block": STREAM_CASES["compound-non-dyadic-above-block"],
+}
+
+
+def _assert_rows_are_transposed_columns(model, n, seed):
+    by_rows, by_columns = Random(seed), Random(seed)
+    rows = sample_rows(model, n, by_rows)
+    assert [tuple(row) for row in rows] == list(zip(*sample_columns(model, n, by_columns)))
+    assert by_rows.getrandbits(64) == by_columns.getrandbits(64)
+    convolved = isinstance(model, MultinomialCountModel) and n > 1 and 0 < model.ell < 64 and model.t < 255
+    assert all(isinstance(row, bytes) == convolved for row in rows)
+    assert all(len(row) == n for row in rows)
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("model, n", ROW_CASES.values(), ids=ROW_CASES.keys())
+    def test_transpose_of_sample_columns_from_the_same_words(self, model, n):
+        _assert_rows_are_transposed_columns(model, n, 20240801)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(sorted(ROW_CASES)),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_transpose_of_sample_columns_over_seeds(self, case, seed):
+        model, n = ROW_CASES[case]
+        _assert_rows_are_transposed_columns(model, n, seed)
+
+    def test_byte_counts_reach_ell(self):
+        rows = sample_rows(MultinomialCountModel(ell=15, probs=(F(1),)), 3, Random(0))
+        assert rows == [bytes([15, 15, 15])]
+
 
 class TestModelJson:
     @pytest.mark.parametrize(

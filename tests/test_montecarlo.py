@@ -1,5 +1,6 @@
 from fractions import Fraction
 from math import comb, sqrt
+from operator import mul
 from random import Random
 
 import pytest
@@ -24,9 +25,12 @@ from gramexpect import (
     traces_by_power,
 )
 from gramexpect.matrices import ExactMatrix, gram
-from gramexpect.models import CompoundCountModel, MultinomialCountModel
+from gramexpect.models import CompoundCountModel, MultinomialCountModel, column_draws, sample_columns, sample_rows
 from gramexpect.montecarlo import (
+    CoefficientStats,
+    _aggregate,
     _char_coefficient_values,
+    _row_gram,
     _perm_coefficient_values,
     check_sampling_draws,
     perm_by_wick,
@@ -99,9 +103,9 @@ def assert_matches_ryser(columns, max_index):
     assert all(type(v) is Fraction for v in values)
 
 
-def assert_matches_char_poly(columns, max_index):
-    """The integer det replicate against Leverrier on the n x n Gram matrix (oracles.py)."""
-    values = _char_coefficient_values(columns, max_index)
+def assert_matches_char_poly(columns, max_index, max_count=255):
+    """The integer det replicate, fed the rows of A, against Leverrier on the n x n Gram matrix (oracles.py)."""
+    values = _char_coefficient_values(list(zip(*columns)), max_index, max_count)
     coeffs = char_poly_coeffs_of_gram(gram(ExactMatrix.from_rows(zip(*columns))))
     coeffs += (F(0),) * (max_index + 1 - len(coeffs))
     assert values == coeffs[1 : max_index + 1]
@@ -134,7 +138,50 @@ class TestCharCoefficientValues:
         assert_matches_char_poly([(0, 0, 0)] * 3 + [(1, 2, 3)], 4)
 
     def test_max_index_zero(self):
-        assert _char_coefficient_values([(F(1, 2), F(3))], 0) == ()
+        assert _char_coefficient_values([(F(1, 2),), (F(3),)], 0) == ()
+
+    @pytest.mark.parametrize("top", [15, 16])
+    @pytest.mark.parametrize("max_index", range(1, 8))
+    def test_byte_rows_on_either_side_of_the_table_cut(self, top, max_index):
+        # Counts up to 15 take the byte tables, 16 takes sum(map(mul)); odd
+        # and even max_index use the <W^k, W^k> and <W^k, W^(k+1)> traces.
+        rng = Random(100 * top + max_index)
+        n = 9
+        rows = [bytes(rng.choice((0, top, rng.randint(0, top))) for _ in range(n)) for _ in range(4)]
+        rows[1] = bytes([top] * n)
+        assert_matches_char_poly(list(zip(*rows)), max_index, top)
+        # Rank-deficient: a repeated row and a zero row leave rank 2.
+        rows[2], rows[3] = rows[0], bytes(n)
+        assert_matches_char_poly(list(zip(*rows)), max_index, top)
+
+    @pytest.mark.parametrize("ell", [1, 10, 15, 16, 40])
+    def test_sampled_byte_rows(self, ell):
+        model = MultinomialCountModel(ell=ell, probs=(F(3, 8), F(1, 4), F(1, 4), F(1, 8)))
+        rows = sample_rows(model, 9, Random(ell))
+        assert all(isinstance(row, bytes) for row in rows)
+        assert_matches_char_poly(list(zip(*rows)), 7, column_draws(model))
+
+
+class TestRowGram:
+    @staticmethod
+    def dot_products(rows):
+        return [[sum(map(mul, a, b)) for b in rows] for a in rows]
+
+    @pytest.mark.parametrize("top", [1, 10, 15])
+    def test_byte_tables_equal_dot_products(self, top):
+        rng = Random(top)
+        for t, n in ((1, 1), (2, 3), (4, 400), (5, 1000)):
+            rows = [bytes(rng.randint(0, top) for _ in range(n)) for _ in range(t)]
+            rows[0] = bytes([top] * n)  # (15 << 4) + 15 = 255: the widest packed byte
+            w = _row_gram(rows, top)
+            assert w == self.dot_products(rows) == _row_gram([tuple(row) for row in rows])
+            assert all(type(x) is int for row in w for x in row)
+
+    def test_counts_of_16_need_the_dot_products(self):
+        rows = [bytes([16, 3, 0]), bytes([16, 1, 15])]
+        assert _row_gram(rows, 16) == self.dot_products(rows) == [[265, 259], [259, 482]]
+        # The tables are exact only below 16: packing 16 carries into the next byte.
+        assert _row_gram(rows, 15) != self.dot_products(rows)
 
 
 class TestPermCoefficientValues:
@@ -221,6 +268,16 @@ class TestReplicateValues:
             for i in range(1, cfg.max_index + 1):
                 assert rows[r][i - 1] == coeffs[i] / comb(cfg.n, i)
 
+    @pytest.mark.parametrize("ell", [10, 15, 16, 40])
+    def test_det_replicates_of_byte_rows_match_char_poly_oracle(self, ell):
+        model = MultinomialCountModel(ell=ell, probs=(F(1, 2), F(1, 3), F(1, 6)))
+        cfg = SimulationConfig(model, n=6, reps=3, max_index=4, kind="both", seed=ell)
+        rows = simulate(cfg).replicates_for("det")
+        for r in range(cfg.reps):
+            columns = sample_columns(model, cfg.n, Random(derive_seed(cfg.seed, r)))
+            coeffs = char_poly_coeffs_of_gram(gram(ExactMatrix.from_rows(zip(*columns))))
+            assert rows[r] == tuple(coeffs[i] / comb(cfg.n, i) for i in range(1, cfg.max_index + 1))
+
     def test_perm_replicates_match_permanental_oracle(self):
         cfg = SimulationConfig(TWO_ATOMS, n=5, reps=4, max_index=3, kind="perm", seed=42)
         report = simulate(cfg)
@@ -276,7 +333,41 @@ class TestReplicateValues:
             report.replicates_for("perm")
 
 
+def reference_aggregate(raw_rows, n, max_index, exact_seq):
+    """The Fraction mean and squared-deviation variance of the normalized values."""
+    reps = len(raw_rows)
+    normalized = tuple(tuple(row[i - 1] / comb(n, i) for i in range(1, max_index + 1)) for row in raw_rows)
+    stats = []
+    for i in range(1, max_index + 1):
+        values = [row[i - 1] for row in normalized]
+        mean = sum(values, F(0)) / reps
+        stddev = None
+        if reps > 1:
+            stddev = sqrt(float(sum(((v - mean) ** 2 for v in values), F(0)) / (reps - 1)))
+        z = float(mean - exact_seq[i]) / (stddev / sqrt(reps)) if stddev else None
+        stats.append(CoefficientStats(i, float(mean), stddev, exact_seq[i], z))
+    return tuple(stats), normalized
+
+
 class TestAggregation:
+    @pytest.mark.parametrize(
+        "raw_rows",
+        [
+            [(F(v), F(v * v - 3)) for v in (17, 4, 250, 9, 33, 0, 12)],
+            [(F(v, 3), F(-v, 7)) for v in (1, 5, 2, 8, 13)],
+            [(F(1, 2), F(4)), (F(7), F(4)), (F(-3, 4), F(-8))],
+            [(F(12), F(1, 9))],
+            [(F(6), F(5, 2))] * 4,
+        ],
+        ids=["ints", "denominators", "mixed", "one-replicate", "constant"],
+    )
+    def test_exact_sums_equal_the_fraction_formula(self, raw_rows):
+        exact_seq = [F(1), F(11, 2), F(-3)]
+        stats, normalized = _aggregate(raw_rows, 7, 2, exact_seq)
+        assert (stats, normalized) == reference_aggregate(raw_rows, 7, 2, exact_seq)
+        if len(set(raw_rows)) == 1:
+            assert all(s.z_score is None for s in stats)
+
     def test_stats_recomputable_from_replicates(self):
         cfg = SimulationConfig(paper_model(), n=8, reps=10, max_index=3, kind="det", seed=314)
         report = simulate(cfg)
