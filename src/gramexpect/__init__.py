@@ -10,7 +10,7 @@ statistics against the exact values.
 
 __version__ = "0.1.0"
 
-from .matrices import CharCoeffs, ExactMatrix, identity, leverrier_char_coeffs
+from .matrices import CharCoeffs, ExactMatrix, gram, identity, leverrier_char_coeffs
 from .models import (
     CompoundCountModel,
     DiscreteVectorDistribution,
@@ -25,7 +25,6 @@ from .models import (
     moment_matrix_from_atoms,
     moment_matrix_multinomial,
     paper_model,
-    sample_count_vector,
     sample_vector,
 )
 from .montecarlo import (
@@ -44,7 +43,6 @@ from .oracles import (
     char_poly_coeffs_of_gram,
     det_bareiss,
     det_expansion,
-    gram,
     perm_expansion,
     perm_ryser,
     permanental_poly_coeffs,
@@ -84,7 +82,6 @@ __all__ = [
     "moment_matrix_from_atoms",
     "moment_matrix_multinomial",
     "paper_model",
-    "sample_count_vector",
     "sample_vector",
     "CoefficientStats",
     "SimulationConfig",

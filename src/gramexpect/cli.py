@@ -9,8 +9,10 @@ Exit codes: 0 success, 1 cross-path verification mismatch, 2 usage or
 parse error, 3 resource guard exceeded.
 
 Flags can be defaulted through environment variables with the GRAMEXPECT_
-prefix: GRAMEXPECT_OUTPUT, GRAMEXPECT_DECIMALS, GRAMEXPECT_SEED,
-GRAMEXPECT_THREADS, GRAMEXPECT_GUARD_OPS. An explicit flag always wins.
+prefix: GRAMEXPECT_OUTPUT for every command, and GRAMEXPECT_DECIMALS,
+GRAMEXPECT_SEED, GRAMEXPECT_THREADS, GRAMEXPECT_GUARD_OPS for the commands
+that take that flag (``INT_FLAGS``); other commands never read them. An
+explicit flag always wins.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import __version__
-from .matrices import ExactMatrix, matrix_from_json_str
+from .matrices import ExactMatrix, gram, matrix_from_json_str
 from .models import (
     InvalidModelError,
     Model,
@@ -48,7 +50,6 @@ from .oracles import (
     char_poly_coeffs_of_gram,
     det_bareiss,
     det_expansion,
-    gram,
     perm_expansion,
     perm_ryser,
     permanental_poly_coeffs,
@@ -67,6 +68,10 @@ from .traces import traces_by_power, traces_from_char_coeffs
 
 ENV_PREFIX = "GRAMEXPECT_"
 OUTPUT_CHOICES = ("json", "csv", "table")
+GUARD_OPS_HELP = (
+    "op budget checked before any work: the draws of one replicate and the "
+    "permanental Wick expansion in simulate/trend, Ryser in oracle permpoly (default 10^7)"
+)
 
 
 class UsageError(Exception):
@@ -96,32 +101,42 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _resolve_int(flag_value: int | None, env_name: str, fallback: int, minimum: int, what: str) -> int:
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = _env(env_name)
+# The integer flags a command may take, each defaulted by GRAMEXPECT_<DEST>:
+# metavar, fallback and minimum.
+INT_FLAGS = {
+    "decimals": ("K", 2, 0),
+    "seed": ("S", 0, 0),
+    "threads": ("W", 1, 1),
+    "guard_ops": ("B", OP_BUDGET, 1),
+}
+
+
+def _resolve_int(args: argparse.Namespace, dest: str) -> int:
+    _, fallback, minimum = INT_FLAGS[dest]
+    value = getattr(args, dest)
+    if value is None:
+        raw = _env(dest.upper())
         if raw is None:
             value = fallback
         else:
             try:
                 value = int(raw)
             except ValueError:
-                raise UsageError(f"{ENV_PREFIX}{env_name} must be an integer, got {raw!r}")
+                raise UsageError(f"{ENV_PREFIX}{dest.upper()} must be an integer, got {raw!r}")
     if value < minimum:
-        raise UsageError(f"{what} must be >= {minimum}, got {value}")
+        raise UsageError(f"{dest.replace('_', '-')} must be >= {minimum}, got {value}")
     return value
 
 
 def _resolve_common(args: argparse.Namespace, default_output: str) -> None:
+    """Settle the output and the integer flags this command takes, flag before environment."""
     output = args.output or _env("OUTPUT") or default_output
     if output not in OUTPUT_CHOICES:
         raise UsageError(f"output must be one of {', '.join(OUTPUT_CHOICES)}, got {output!r}")
     args.output = output
-    args.decimals = _resolve_int(args.decimals, "DECIMALS", 2, 0, "decimals")
-    args.seed = _resolve_int(args.seed, "SEED", 0, 0, "seed")
-    args.threads = _resolve_int(args.threads, "THREADS", 1, 1, "threads")
-    args.guard_ops = _resolve_int(args.guard_ops, "GUARD_OPS", OP_BUDGET, 1, "guard-ops")
+    for dest in INT_FLAGS:
+        if hasattr(args, dest):
+            setattr(args, dest, _resolve_int(args, dest))
 
 
 def _read_file(path: str) -> str:
@@ -389,8 +404,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
         "guard_ops": args.guard_ops,
         "output": args.output,
     }
-    kinds = ("det", "perm") if report.kind == "both" else (report.kind,)
-    stats = {kind: report.stats_for(kind) for kind in kinds}
+    stats = report.stats
     body = {key: getattr(report, key) for key in ("n", "reps", "seed", "max_index", "kind", "mode")}
     body["stats"] = {
         kind: [
@@ -408,11 +422,11 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     if args.output == "csv":
         # Per-replicate normalized coefficients for external boxplot tooling,
         # with a leading kind column when both kinds are sampled.
-        tag = len(kinds) > 1
+        tag = len(stats) > 1
         headers = ["kind"] * tag + ["replicate", "i", "value"]
         rows = (
             [kind] * tag + [str(r), str(i), format_float(float(value))]
-            for kind in kinds
+            for kind in stats
             for r, row in enumerate(report.replicates_for(kind))
             for i, value in enumerate(row, start=1)
         )
@@ -480,18 +494,16 @@ def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
 # ------------------------------------------------------------------- main
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
+def _add_common_flags(sub: argparse.ArgumentParser, *int_flags: str) -> None:
+    """The model and output flags every command takes, then the named ``INT_FLAGS``."""
     sub.add_argument("--model", metavar="FILE", help="model JSON file")
     sub.add_argument("--paper", action="store_true", help="use the built-in worked-example model")
     sub.add_argument("--output", choices=OUTPUT_CHOICES, default=None)
-    sub.add_argument("--decimals", type=int, default=None, metavar="K")
-    sub.add_argument("--seed", type=int, default=None, metavar="S")
-    sub.add_argument("--threads", type=int, default=None, metavar="W")
-    sub.add_argument(
-        "--guard-ops", type=int, default=None, metavar="B", dest="guard_ops",
-        help="op budget checked before any work: the draws of one replicate and the "
-        "permanental Wick expansion in simulate/trend, Ryser in oracle permpoly (default 10^7)",
-    )
+    for dest in int_flags:
+        sub.add_argument(
+            "--" + dest.replace("_", "-"), type=int, default=None, metavar=INT_FLAGS[dest][0], dest=dest,
+            help=GUARD_OPS_HELP if dest == "guard_ops" else None,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,14 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_traces, default_output="json")
 
     sub = subs.add_parser("expect", help="expected determinants and permanents")
-    _add_common_flags(sub)
+    _add_common_flags(sub, "decimals")
     sub.add_argument("-N", "--terms", type=int, default=6, metavar="N")
     sub.add_argument("--kind", choices=("det", "perm", "both"), default="both")
     sub.add_argument("--path", choices=("recursion", "char", "egf", "all"), default="all")
     sub.set_defaults(handler=cmd_expect, default_output="table")
 
     sub = subs.add_parser("oracle", help="run a brute-force reference computation")
-    _add_common_flags(sub)
+    _add_common_flags(sub, "guard_ops")
     sub.add_argument("oracle", choices=ORACLE_NAMES)
     sub.add_argument("--matrix", metavar="FILE", help="matrix JSON file")
     sub.add_argument("-n", type=int, default=None, help="columns for brute-force oracles")
@@ -527,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_oracle, default_output="table")
 
     sub = subs.add_parser("simulate", help="sample Gram matrices and report coefficient statistics")
-    _add_common_flags(sub)
+    _add_common_flags(sub, *INT_FLAGS)
     sub.add_argument("-n", "--columns", type=int, required=True, dest="n")
     sub.add_argument("--reps", type=int, default=100)
     sub.add_argument("--max-index", type=int, default=4, dest="max_index")
@@ -535,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_simulate, default_output="json")
 
     sub = subs.add_parser("trend", help="normalized stddev of one coefficient across n")
-    _add_common_flags(sub)
+    _add_common_flags(sub, "seed", "threads", "guard_ops")
     sub.add_argument("--n-list", default="50,100,200,400", dest="n_list")
     sub.add_argument("--reps", type=int, default=200)
     sub.add_argument("--index", type=int, default=2)
@@ -572,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         subcommand=args.subcommand,
         config=config,
         version=__version__,
-        seed=args.seed if args.subcommand in ("simulate", "trend") else None,
+        seed=getattr(args, "seed", None),
         wall_time_s=round(time.perf_counter() - start, 6),
         output_sha256=hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     )

@@ -16,18 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import canonical_json, format_rational, parse_rational
+from .scalars import canonical_json, format_rational, to_rational
 
 EntryLike = Fraction | int | str
-
-
-def _coerce(value: EntryLike) -> Fraction:
-    """A wire string, an int or a Fraction as a Fraction; bools and floats are refused."""
-    if isinstance(value, str):
-        return parse_rational(value)
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ValueError(f"matrix entries must be rational strings or integers, got {value!r}")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -38,7 +29,7 @@ class ExactMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[EntryLike]]) -> "ExactMatrix":
-        data = tuple(tuple(_coerce(v) for v in row) for row in rows)
+        data = tuple(tuple(to_rational(v, "matrix entries") for v in row) for row in rows)
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

@@ -43,22 +43,13 @@ from struct import unpack
 from typing import Sequence
 
 from .matrices import ExactMatrix, leverrier_char_coeffs
-from .scalars import canonical_json, format_rational, parse_rational
+from .scalars import canonical_json, format_rational, to_rational
 
 _TWO64 = 1 << 64
 
 
 class InvalidModelError(ValueError):
     """A model definition violates its constraints (raised on load too)."""
-
-
-def _rational(value: Fraction | int | str, what: str) -> Fraction:
-    """A wire string, an int or a Fraction as a Fraction; bools and floats are refused."""
-    if isinstance(value, str):
-        return parse_rational(value)
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise InvalidModelError(f"{what} must be a rational string or an integer, got {value!r}")
-    return Fraction(value)
 
 
 def _is_count(value: object) -> bool:
@@ -70,7 +61,7 @@ def _coerce_prob_vector(probs: Sequence[Fraction | int | str], what: str) -> tup
         raise InvalidModelError(f"{what} must be non-empty")
     out = []
     for p in probs:
-        q = _rational(p, what)
+        q = to_rational(p, what, InvalidModelError)
         if q < 0:
             raise InvalidModelError(f"{what} entries must be nonnegative, got {q}")
         out.append(q)
@@ -96,7 +87,7 @@ class DiscreteVectorDistribution:
             raise InvalidModelError("atom vectors must all have the same dimension")
         probs = _coerce_prob_vector([p for _, p in self.atoms], "atom probabilities")
         vectors = tuple(
-            tuple(_rational(v, "atom vector entries") for v in vec) for vec, _ in self.atoms
+            tuple(to_rational(v, "atom vector entries", InvalidModelError) for v in vec) for vec, _ in self.atoms
         )
         object.__setattr__(self, "atoms", tuple(zip(vectors, probs)))
         object.__setattr__(self, "_sampler", CategoricalSampler(probs))
@@ -357,9 +348,6 @@ def sample_rows(model: Model, n: int, rng: Random) -> list[bytes] | list[tuple]:
 def sample_vector(model: Model, rng: Random) -> tuple[Fraction, ...] | tuple[int, ...]:
     """One column vector drawn from the model; for a compound model ell is drawn first."""
     return sample_columns(model, 1, rng)[0]
-
-
-sample_count_vector = sample_vector
 
 
 def column_draws(model: Model) -> int:

@@ -23,6 +23,7 @@ Two contracts shape the implementation:
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -88,12 +89,9 @@ class SimulationConfig:
             raise ValueError("seed must fit in 64 bits")
 
     @property
-    def wants_det(self) -> bool:
-        return self.kind in ("det", "both")
-
-    @property
-    def wants_perm(self) -> bool:
-        return self.kind in ("perm", "both")
+    def kinds(self) -> tuple[str, ...]:
+        """The coefficient families this run samples, det before perm."""
+        return ("det", "perm") if self.kind == "both" else (self.kind,)
 
 
 @dataclass(frozen=True)
@@ -109,28 +107,28 @@ class CoefficientStats:
 
 @dataclass(frozen=True)
 class SimulationReport:
+    """Statistics and raw replicate values (b_i or d_i, not over C(n, i)), keyed by kind."""
+
     n: int
     reps: int
     seed: int
     max_index: int
     kind: str
     mode: str
-    det_stats: tuple[CoefficientStats, ...] | None
-    perm_stats: tuple[CoefficientStats, ...] | None
-    det_replicates: tuple[tuple[Fraction, ...], ...] | None
-    perm_replicates: tuple[tuple[Fraction, ...], ...] | None
+    stats: dict[str, tuple[CoefficientStats, ...]]
+    raw: dict[str, tuple[tuple[Fraction, ...], ...]]
 
     def stats_for(self, kind: str) -> tuple[CoefficientStats, ...]:
-        stats = self.det_stats if kind == "det" else self.perm_stats if kind == "perm" else None
-        if stats is None:
+        if kind not in self.stats:
             raise ValueError(f"report holds no {kind!r} statistics")
-        return stats
+        return self.stats[kind]
 
     def replicates_for(self, kind: str) -> tuple[tuple[Fraction, ...], ...]:
-        rows = self.det_replicates if kind == "det" else self.perm_replicates if kind == "perm" else None
-        if rows is None:
+        """The replicate values of ``kind`` normalized by C(n, i)."""
+        if kind not in self.raw:
             raise ValueError(f"report holds no {kind!r} replicate values")
-        return rows
+        scales = [comb(self.n, i) for i in range(1, self.max_index + 1)]
+        return tuple(tuple(v / c for v, c in zip(row, scales)) for row in self.raw[kind])
 
 
 def sample_gram(model: Model, n: int, rng: Random) -> ExactMatrix:
@@ -349,39 +347,31 @@ def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
     return tuple(Fraction(v, scale ** (2 * i)) for i, v in enumerate(values, start=1))
 
 
-def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
-    model, n, max_index, kind, wick, op_budget, stream_seed = args
-    rng = Random(stream_seed)
-    det_values = None
-    if kind == "perm":
-        columns = sample_columns(model, n, rng)
-    else:
-        rows = sample_rows(model, n, rng)
-        # A count never exceeds the trials of its column, column_draws(model).
-        det_values = _char_coefficient_values(rows, max_index, column_draws(model)) if n else ()
+def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...], ...]:
+    """One replicate: the values of each kind in ``kinds``, from one draw of A."""
+    model, n, max_index, kinds, wick, op_budget, stream_seed = args
+    rows = sample_rows(model, n, Random(stream_seed))
+    values = []
+    for kind in kinds:
         if kind == "det":
-            return det_values, None
-        columns = list(zip(*rows))
-    if wick:
-        return det_values, _perm_coefficient_values(columns, max_index)
-    g = _gram_entries(columns)
-    return det_values, permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:]
+            # A count never exceeds the trials of its column, column_draws(model).
+            values.append(_char_coefficient_values(rows, max_index, column_draws(model)) if n else ())
+        elif wick:
+            values.append(_perm_coefficient_values(list(zip(*rows)), max_index))
+        else:
+            g = _gram_entries(list(zip(*rows)))
+            values.append(permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:])
+    return tuple(values)
 
 
 def _aggregate(
-    raw_rows: list[tuple[Fraction, ...]],
-    n: int,
-    max_index: int,
-    exact_seq: ExpectedSequence,
-) -> tuple[tuple[CoefficientStats, ...], tuple[tuple[Fraction, ...], ...]]:
+    raw_rows: Sequence[tuple[Fraction, ...]], n: int, exact_seq: ExpectedSequence
+) -> tuple[CoefficientStats, ...]:
     """Statistics of the values over C(n, i) from S1 = sum v and S2 = sum v^2, in ints if all are.
 
     mean = S1 / (reps C), variance = (reps S2 - S1^2) / (reps (reps - 1) C^2).
     """
     reps = len(raw_rows)
-    normalized = tuple(
-        tuple(row[i - 1] / comb(n, i) for i in range(1, max_index + 1)) for row in raw_rows
-    )
     stats = []
     for i, values in enumerate(zip(*raw_rows), start=1):
         if all(v.denominator == 1 for v in values):
@@ -393,7 +383,7 @@ def _aggregate(
         stats.append(CoefficientStats(
             index=i, normalized_mean=float(mean), normalized_stddev=stddev, exact_value=exact, z_score=z
         ))
-    return tuple(stats), normalized
+    return tuple(stats)
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_BUDGET) -> SimulationReport:
@@ -406,12 +396,10 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    wick = not config.wants_perm or perm_by_wick(
-        config.n, config.model.t, config.max_index, op_budget
-    )
+    kinds = config.kinds
+    wick = "perm" not in kinds or perm_by_wick(config.n, config.model.t, config.max_index, op_budget)
     work = [
-        (config.model, config.n, config.max_index, config.kind, wick, op_budget,
-         derive_seed(config.seed, r))
+        (config.model, config.n, config.max_index, kinds, wick, op_budget, derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
     if threads == 1:
@@ -424,17 +412,12 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
             results = list(pool.map(_replicate_worker, work, chunksize=chunk))
 
     traces = traces_by_power(moment_matrix(config.model), config.max_index)
-    det_stats = perm_stats = det_replicates = perm_replicates = None
-    if config.wants_det:
-        exact = expected_det_recursion(traces, config.max_index)
-        det_stats, det_replicates = _aggregate(
-            [r[0] for r in results], config.n, config.max_index, exact
-        )
-    if config.wants_perm:
-        exact = expected_perm_recursion(traces, config.max_index)
-        perm_stats, perm_replicates = _aggregate(
-            [r[1] for r in results], config.n, config.max_index, exact
-        )
+    recursions = {"det": expected_det_recursion, "perm": expected_perm_recursion}
+    raw = dict(zip(kinds, zip(*results)))
+    stats = {
+        kind: _aggregate(raw[kind], config.n, recursions[kind](traces, config.max_index))
+        for kind in kinds
+    }
     return SimulationReport(
         n=config.n,
         reps=config.reps,
@@ -442,10 +425,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
         max_index=config.max_index,
         kind=config.kind,
         mode="exact",
-        det_stats=det_stats,
-        perm_stats=perm_stats,
-        det_replicates=det_replicates,
-        perm_replicates=perm_replicates,
+        stats=stats,
+        raw=raw,
     )
 
 

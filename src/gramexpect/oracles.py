@@ -14,12 +14,11 @@ from itertools import combinations, permutations, product
 from math import comb, prod
 from typing import Sequence
 
-from .matrices import CharCoeffs, ExactMatrix, gram, leverrier_char_coeffs
+from .matrices import CharCoeffs, ExactMatrix, leverrier_char_coeffs
 from .models import DiscreteVectorDistribution
 
 __all__ = [
     "GuardExceeded",
-    "gram",
     "det_expansion",
     "perm_expansion",
     "perm_ryser",

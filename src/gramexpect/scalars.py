@@ -32,6 +32,19 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+def to_rational(value: Fraction | int | str, what: str, error: type[ValueError] = ValueError) -> Fraction:
+    """A wire string, an int or a Fraction as a Fraction.
+
+    Bools, floats and anything else raise ``error`` naming ``what``; a
+    malformed string raises ValueError from ``parse_rational``.
+    """
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise error(f"{what} must be a rational string or an integer, got {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Canonical wire form: lowest terms, "num/den", bare integer if den == 1."""
     return str(Fraction(value))

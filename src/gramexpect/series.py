@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import parse_rational
-
-
-def _coerce(value: Fraction | int | str) -> Fraction:
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+from .scalars import to_rational
 
 
 @dataclass(frozen=True)
@@ -31,7 +27,7 @@ class TruncatedSeries:
 
     @classmethod
     def from_coefficients(cls, values: Sequence[Fraction | int | str], order: int | None = None) -> "TruncatedSeries":
-        coeffs = [_coerce(v) for v in values]
+        coeffs = [to_rational(v, "series coefficients") for v in values]
         if order is not None:
             if order < 0:
                 raise ValueError("order must be >= 0")

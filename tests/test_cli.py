@@ -355,9 +355,22 @@ class TestEnvironmentOverrides:
         assert manifest_of(proc)["seed"] == 123
 
     def test_invalid_env_integer_exits_2(self):
-        proc = run_cli("traces", "--paper", env_extra={"GRAMEXPECT_THREADS": "abc"})
+        proc = run_cli(
+            "simulate", "--paper", "-n", "3", "--reps", "2", "--max-index", "1",
+            env_extra={"GRAMEXPECT_THREADS": "abc"},
+        )
         assert proc.returncode == 2
         assert "GRAMEXPECT_THREADS" in proc.stderr
+
+    def test_command_without_the_flag_ignores_its_env(self):
+        proc = run_cli("traces", "--paper", "-N", "1", env_extra={"GRAMEXPECT_THREADS": "abc"})
+        assert proc.returncode == 0
+        assert proc.stdout == '{"t":["565/16"]}\n'
+
+    def test_command_refuses_a_flag_it_does_not_read(self):
+        proc = run_cli("moments", "--paper", "--seed", "1")
+        assert proc.returncode == 2
+        assert "--seed" in proc.stderr
 
 
 class TestManifest:

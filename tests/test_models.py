@@ -21,7 +21,6 @@ from gramexpect import (
     moment_matrix_from_atoms,
     moment_matrix_multinomial,
     paper_model,
-    sample_count_vector,
     sample_vector,
 )
 from gramexpect.models import sample_columns, sample_rows
@@ -218,27 +217,27 @@ class TestSampling:
         model = MultinomialCountModel(ell=9, probs=(F(1, 3), F(1, 3), F(1, 3)))
         rng = Random(123)
         for _ in range(50):
-            counts = sample_count_vector(model, rng)
+            counts = sample_vector(model, rng)
             assert sum(counts) == 9
             assert all(c >= 0 for c in counts)
 
     def test_ell_zero_always_zero_vector(self):
         model = MultinomialCountModel(ell=0, probs=(F(1, 2), F(1, 2)))
-        assert sample_count_vector(model, Random(1)) == (0, 0)
+        assert sample_vector(model, Random(1)) == (0, 0)
 
     def test_degenerate_category(self):
         model = MultinomialCountModel(ell=10, probs=(F(1), F(0), F(0), F(0)))
-        assert sample_count_vector(model, Random(99)) == (10, 0, 0, 0)
+        assert sample_vector(model, Random(99)) == (10, 0, 0, 0)
 
     def test_compound_draws_ell_from_law(self):
         model = CompoundCountModel(probs=(F(1, 2), F(1, 2)), ell_law=((2, F(1)),))
         for seed in range(20):
-            assert sum(sample_count_vector(model, Random(seed))) == 2
+            assert sum(sample_vector(model, Random(seed))) == 2
 
     def test_deterministic_given_seed(self):
         model = paper_model()
-        a = [sample_count_vector(model, Random(7)) for _ in range(5)]
-        b = [sample_count_vector(model, Random(7)) for _ in range(5)]
+        a = [sample_vector(model, Random(7)) for _ in range(5)]
+        b = [sample_vector(model, Random(7)) for _ in range(5)]
         assert a == b
 
     def test_empirical_moments_converge(self):
@@ -249,7 +248,7 @@ class TestSampling:
         sums = [[0] * t for _ in range(t)]
         squares = [[0] * t for _ in range(t)]
         for _ in range(draws):
-            w = sample_count_vector(model, rng)
+            w = sample_vector(model, rng)
             for i in range(t):
                 for j in range(i, t):
                     prod = w[i] * w[j]

@@ -11,6 +11,7 @@ from gramexpect import (
     DiscreteVectorDistribution,
     GuardExceeded,
     SimulationConfig,
+    SimulationReport,
     char_poly_coeffs_of_gram,
     derive_seed,
     expected_det_recursion,
@@ -250,7 +251,9 @@ class TestConfigValidation:
 
     def test_kind_flags(self):
         cfg = SimulationConfig(paper_model(), n=4, reps=1, max_index=2, kind="both", seed=0)
-        assert cfg.wants_det and cfg.wants_perm
+        assert cfg.kinds == ("det", "perm")
+        for kind in ("det", "perm"):
+            assert SimulationConfig(paper_model(), n=4, reps=1, max_index=2, kind=kind, seed=0).kinds == (kind,)
 
 
 class TestReplicateValues:
@@ -321,12 +324,41 @@ class TestReplicateValues:
             assert stats.normalized_mean == 0.0
             assert stats.exact_value == 0
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TWO_ATOMS,
+            CompoundCountModel(probs=(F(1, 2), F(1, 4), F(1, 4)), ell_law=((1, F(1, 2)), (3, F(1, 2)))),
+        ],
+        ids=["atoms", "compound"],
+    )
+    def test_perm_only_replicates_follow_the_column_stream(self, model):
+        cfg = SimulationConfig(model, n=6, reps=3, max_index=3, kind="perm", seed=11)
+        report = simulate(cfg)
+        for r, row in enumerate(report.raw["perm"]):
+            columns = sample_columns(model, cfg.n, Random(derive_seed(cfg.seed, r)))
+            assert row == _perm_coefficient_values(columns, cfg.max_index)
+
+    def test_raw_values_and_their_normalization(self):
+        cfg = SimulationConfig(paper_model(), n=5, reps=3, max_index=3, kind="both", seed=21)
+        report = simulate(cfg)
+        for r in range(cfg.reps):
+            columns = sample_columns(cfg.model, cfg.n, Random(derive_seed(cfg.seed, r)))
+            g = gram(ExactMatrix.from_rows(zip(*columns)))
+            assert report.raw["det"][r] == char_poly_coeffs_of_gram(g)[1 : cfg.max_index + 1]
+            assert report.raw["perm"][r] == permanental_poly_coeffs(g, cfg.max_index)[1:]
+        for kind in cfg.kinds:
+            assert report.replicates_for(kind) == tuple(
+                tuple(v / comb(cfg.n, i) for i, v in enumerate(row, start=1)) for row in report.raw[kind]
+            )
+
     def test_report_metadata(self):
         cfg = SimulationConfig(TWO_ATOMS, n=3, reps=2, max_index=1, kind="det", seed=5)
         report = simulate(cfg)
         assert (report.n, report.reps, report.seed) == (3, 2, 5)
         assert report.mode == "exact"
-        assert report.perm_stats is None
+        assert "perm" not in report.stats
+        assert "perm" not in report.raw
         with pytest.raises(ValueError):
             report.stats_for("perm")
         with pytest.raises(ValueError):
@@ -363,7 +395,12 @@ class TestAggregation:
     )
     def test_exact_sums_equal_the_fraction_formula(self, raw_rows):
         exact_seq = [F(1), F(11, 2), F(-3)]
-        stats, normalized = _aggregate(raw_rows, 7, 2, exact_seq)
+        stats = _aggregate(raw_rows, 7, exact_seq)
+        report = SimulationReport(
+            n=7, reps=len(raw_rows), seed=0, max_index=2, kind="det", mode="exact",
+            stats={"det": stats}, raw={"det": tuple(raw_rows)},
+        )
+        normalized = report.replicates_for("det")
         assert (stats, normalized) == reference_aggregate(raw_rows, 7, 2, exact_seq)
         if len(set(raw_rows)) == 1:
             assert all(s.z_score is None for s in stats)

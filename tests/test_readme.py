@@ -1,0 +1,52 @@
+"""README's examples, run as written: the library quick start and the CLI transcripts."""
+
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+import gramexpect.cli as cli
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+TRANSCRIBED = ("expect", "traces", "moments", "simulate", "trend")
+
+
+def _blocks(language: str) -> list[str]:
+    return re.findall(rf"^```{language}\n(.*?)^```", README, re.S | re.M)
+
+
+def _transcripts() -> list[tuple[list[str], str]]:
+    """(argv, stdout) of each ``$ gramexpect`` line in a text block whose command is transcribed.
+
+    A command's stdout is every line after it up to the next command or the
+    end of the block, less trailing blank lines.
+    """
+    found = []
+    for block in _blocks("text"):
+        for chunk in re.split(r"^\$ gramexpect ", block, flags=re.M)[1:]:
+            command, _, stdout = chunk.partition("\n")
+            argv = command.split()
+            if argv[0] in TRANSCRIBED:
+                found.append((argv, stdout.rstrip("\n") + "\n"))
+    return found
+
+
+TRANSCRIPTS = _transcripts()
+
+
+def test_quick_start_runs():
+    (block,) = _blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_transcribed_command_has_one_transcript():
+    assert sorted(argv[0] for argv, _ in TRANSCRIPTS) == sorted(TRANSCRIBED)
+
+
+@pytest.mark.parametrize("argv, stdout", TRANSCRIPTS, ids=[argv[0] for argv, _ in TRANSCRIPTS])
+def test_transcript_stdout_is_byte_equal(argv, stdout, capsys, monkeypatch):
+    for name in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(name)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == stdout

@@ -27,6 +27,13 @@ class TestConstruction:
         s = TruncatedSeries.from_coefficients([1, 2, 3, 4], 1)
         assert s.coeffs == (F(1), F(2))
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, True, False, None], ids=repr)
+    def test_rejects_floats_and_bools(self, bad):
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_coefficients([F(1, 2), bad, 1])
+        with pytest.raises(ValueError):
+            TruncatedSeries.from_coefficients([bad], 3)
+
     def test_requires_constant_coefficient(self):
         with pytest.raises(ValueError):
             TruncatedSeries(())

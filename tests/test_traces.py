@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -15,7 +16,7 @@ from gramexpect import (
     traces_from_char_coeffs,
 )
 from gramexpect.matrices import CharCoeffs
-from gramexpect.traces import elementary_from_power_sums, integer_elementary_from_power_sums
+from gramexpect.traces import integer_elementary_from_power_sums
 
 from conftest import random_matrix, random_psd, random_symmetric
 
@@ -112,26 +113,37 @@ class TestPsdTraceInvariants:
         assert all(c >= 0 for c in coeffs.values)
 
 
+def scaled_to_integers(m):
+    """(D M, D) for the lcm D of the denominators of M's entries."""
+    d = lcm(*(v.denominator for row in m.entries for v in row))
+    return ExactMatrix.from_rows([[int(v * d) for v in row] for row in m.entries]), d
+
+
 class TestNewtonBothWays:
     def test_power_sums_recover_char_coeffs(self):
+        # e_k(D M) = D^k e_k(M), so the integer identities recover M's coefficients.
         rng = Random(31)
         for _ in range(10):
             m = random_psd(rng, rng.randint(1, 4))
             coeffs = leverrier_char_coeffs(m).values
             count = len(coeffs) + 1
-            elem = elementary_from_power_sums(traces_by_power(m, count).values, count)
-            assert tuple(elem) == coeffs + (0,) * (count + 1 - len(coeffs))
+            scaled, d = scaled_to_integers(m)
+            power_sums = [int(p) for p in traces_by_power(scaled, count).values]
+            elem = integer_elementary_from_power_sums(power_sums, count)
+            assert tuple(F(e, d**k) for k, e in enumerate(elem)) == coeffs + (0,) * (count + 1 - len(coeffs))
 
     def test_integer_power_sums_give_int_coefficients(self):
         rng = Random(32)
         for _ in range(10):
             t = rng.randint(1, 4)
-            m = random_matrix(rng, t, t, rational=False)
+            m = random_matrix(rng, t, t)
             count = t + 2
-            power_sums = [int(p) for p in traces_by_power(m, count).values]
+            scaled, d = scaled_to_integers(m)
+            power_sums = [int(p) for p in traces_by_power(scaled, count).values]
             elem = integer_elementary_from_power_sums(power_sums, count)
             assert all(type(e) is int for e in elem)
-            assert elem == elementary_from_power_sums(power_sums, count)
+            coeffs = leverrier_char_coeffs(m).values
+            assert elem == [c * d**k for k, c in enumerate(coeffs + (0,) * (count + 1 - len(coeffs)))]
 
     def test_inexact_integer_division_raises(self):
         # p_1 = 1, p_2 = 2 is no integer matrix's: e_2 = (1 - 2) / 2.
