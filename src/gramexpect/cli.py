@@ -11,8 +11,8 @@ parse error, 3 resource guard exceeded.
 Flags can be defaulted through environment variables with the GRAMEXPECT_
 prefix: GRAMEXPECT_OUTPUT for every command, and GRAMEXPECT_DECIMALS,
 GRAMEXPECT_SEED, GRAMEXPECT_THREADS, GRAMEXPECT_GUARD_OPS for the commands
-that take that flag (``INT_FLAGS``); other commands never read them. An
-explicit flag always wins.
+(and oracles, per ``ORACLES``) that take that flag (``INT_FLAGS``); others
+never read them. An explicit flag always wins.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
-from fractions import Fraction
+from functools import partial
 from typing import Iterable
 
 from . import __version__
-from .matrices import ExactMatrix, gram, matrix_from_json_str
+from .matrices import ExactMatrix, gram, matrix_from_json_str, matrix_to_json
 from .models import (
     InvalidModelError,
     Model,
@@ -159,15 +159,10 @@ def _load_model(args: argparse.Namespace) -> tuple[Model, dict | str]:
 
 
 def _load_matrix(args: argparse.Namespace) -> ExactMatrix:
-    if not args.matrix:
-        raise UsageError("this oracle requires --matrix FILE")
-    text = _read_file(args.matrix)
     try:
-        return matrix_from_json_str(text)
+        return matrix_from_json_str(_read_file(args.matrix))
     except json.JSONDecodeError as exc:
         raise UsageError(f"matrix file is not valid JSON: {exc}")
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def _render(output: str, body: object, headers: list[str] | None, rows: Iterable[list[str]]) -> str:
@@ -187,14 +182,9 @@ def _render(output: str, body: object, headers: list[str] | None, rows: Iterable
     return "".join("  ".join(map(str.ljust, line, widths)).rstrip() + "\n" for line in lines)
 
 
-def _matrix_body(matrix: ExactMatrix) -> dict:
-    """A matrix in the matrix-file form {"rows": [[rational strings]]}."""
-    return {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
-
-
 def _render_matrix(output: str, matrix: ExactMatrix) -> str:
     """The matrix body; its csv has no header line."""
-    body = _matrix_body(matrix)
+    body = matrix_to_json(matrix)
     headers = None if output == "csv" else [f"col{j}" for j in range(matrix.cols)]
     return _render(output, body, headers, body["rows"])
 
@@ -313,63 +303,71 @@ def cmd_expect(args: argparse.Namespace) -> tuple[str, dict]:
 
 # ----------------------------------------------------------------- oracle
 
-ORACLE_NAMES = (
-    "det-expansion",
-    "perm-expansion",
-    "ryser",
-    "bareiss",
-    "charpoly",
-    "permpoly",
-    "gram",
-    "brute-det",
-    "brute-perm",
-)
+# Each oracle: the flags it reads besides --output, and what it computes from
+# the --matrix matrix or the model, given its integer flags as keywords.
+ORACLES = {
+    "det-expansion": (("--matrix",), det_expansion),
+    "perm-expansion": (("--matrix",), perm_expansion),
+    "ryser": (("--matrix",), perm_ryser),
+    "bareiss": (("--matrix",), det_bareiss),
+    "charpoly": (("--matrix",), char_poly_coeffs_of_gram),
+    "permpoly": (
+        ("--matrix", "--max-index", "--guard-ops"),
+        lambda matrix, max_index, guard_ops: permanental_poly_coeffs(matrix, max_index, op_budget=guard_ops),
+    ),
+    "gram": (("--matrix",), gram),
+    "brute-det": (("--model", "--paper", "-n"), partial(brute_force_expectation, kind="det")),
+    "brute-perm": (("--model", "--paper", "-n"), partial(brute_force_expectation, kind="perm")),
+}
+ORACLE_FLAGS = tuple(dict.fromkeys(flag for reads, _ in ORACLES.values() for flag in reads))
 
 
-def _scalar_payload(args: argparse.Namespace, name: str, value: Fraction) -> str:
-    """One value; its table is the bare value, without the csv header."""
-    cell = format_rational(value)
-    headers = ["result"] if args.output == "csv" else None
-    return _render(args.output, {"oracle": name, "result": cell}, headers, [[cell]])
+def _select_oracle_inputs(args: argparse.Namespace) -> None:
+    """Refuse the flags the named oracle does not read, and drop them from ``args``.
+
+    Run before the environment is read, so GRAMEXPECT_GUARD_OPS reaches only
+    the oracles that read --guard-ops.
+    """
+    reads = ORACLES[args.oracle][0]
+    for flag in ORACLE_FLAGS:
+        dest = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, dest)
+        if flag in reads:
+            if value is None and flag in ("--matrix", "-n"):
+                raise UsageError(f"oracle {args.oracle} requires {flag}")
+        elif value is None or value is False:  # not given; -n 0 is given
+            delattr(args, dest)
+        else:
+            raise UsageError(f"oracle {args.oracle} does not read {flag}")
 
 
-def _coeff_payload(args: argparse.Namespace, name: str, coeffs: tuple[Fraction, ...]) -> str:
-    cells = [format_rational(c) for c in coeffs]
-    rows = ([str(i), c] for i, c in enumerate(cells))
-    return _render(args.output, {"oracle": name, "coeffs": cells}, ["i", "coeff"], rows)
+def _oracle_payload(output: str, name: str, result: object) -> str:
+    """A matrix like ``moments``, coefficients as (i, coeff) rows, a scalar bare (its csv under ``result``)."""
+    if isinstance(result, ExactMatrix):
+        return _render_matrix(output, result)
+    if isinstance(result, tuple):
+        cells = [format_rational(c) for c in result]
+        rows = ([str(i), c] for i, c in enumerate(cells))
+        return _render(output, {"oracle": name, "coeffs": cells}, ["i", "coeff"], rows)
+    cell = format_rational(result)
+    return _render(output, {"oracle": name, "result": cell}, ["result"] if output == "csv" else None, [[cell]])
 
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[str, dict]:
-    name = args.oracle
-    config: dict = {"oracle": name, "output": args.output}
-    if name in ("brute-det", "brute-perm"):
-        model, model_desc = _load_model(args)
-        if not hasattr(model, "atoms"):
+    config: dict = {"oracle": args.oracle, "output": args.output}
+    if hasattr(args, "matrix"):
+        source = _load_matrix(args)
+        config["matrix"] = matrix_to_json(source)
+    else:
+        source, config["model"] = _load_model(args)
+        if not hasattr(source, "atoms"):
             raise UsageError("brute-force oracles need an atoms model")
-        if args.n is None:
-            raise UsageError("brute-force oracles need -n")
-        kind = "det" if name == "brute-det" else "perm"
-        value = brute_force_expectation(model, args.n, kind)
-        config.update({"model": model_desc, "n": args.n})
-        return _scalar_payload(args, name, value), config
-    matrix = _load_matrix(args)
-    config["matrix"] = _matrix_body(matrix)
-    if name == "gram":
-        return _render_matrix(args.output, gram(matrix)), config
-    if name == "charpoly":
-        return _coeff_payload(args, name, char_poly_coeffs_of_gram(matrix)), config
-    if name == "permpoly":
-        max_index = args.max_index if args.max_index is not None else matrix.rows
-        config["max_index"] = max_index
-        coeffs = permanental_poly_coeffs(matrix, max_index, op_budget=args.guard_ops)
-        return _coeff_payload(args, name, coeffs), config
-    scalar = {
-        "det-expansion": det_expansion,
-        "perm-expansion": perm_expansion,
-        "ryser": perm_ryser,
-        "bareiss": det_bareiss,
-    }[name]
-    return _scalar_payload(args, name, scalar(matrix)), config
+    if "max_index" in vars(args) and args.max_index is None:
+        args.max_index = source.rows
+    ints = {dest: value for dest, value in vars(args).items() if dest in ("n", "max_index", "guard_ops")}
+    config.update(ints)
+    config.pop("guard_ops", None)  # a bound on the work, not an input of the result
+    return _oracle_payload(args.output, args.oracle, ORACLES[args.oracle][1](source, **ints)), config
 
 
 # --------------------------------------------------------------- simulate
@@ -532,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("oracle", help="run a brute-force reference computation")
     _add_common_flags(sub, "guard_ops")
-    sub.add_argument("oracle", choices=ORACLE_NAMES)
+    sub.add_argument("oracle", choices=ORACLES)
     sub.add_argument("--matrix", metavar="FILE", help="matrix JSON file")
     sub.add_argument("-n", type=int, default=None, help="columns for brute-force oracles")
     sub.add_argument("--max-index", type=int, default=None, dest="max_index")
@@ -562,6 +560,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.subcommand == "oracle":
+            _select_oracle_inputs(args)
         _resolve_common(args, args.default_output)
         payload, config = args.handler(args)
     except UsageError as exc:

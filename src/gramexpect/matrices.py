@@ -86,18 +86,9 @@ def identity(size: int) -> ExactMatrix:
 def gram(columns_matrix: ExactMatrix) -> ExactMatrix:
     """Gram matrix A^T A of a t x n matrix A whose columns are the vectors.
 
-    Symmetric by construction; entry (i, j) is the dot product of columns
-    i and j.
+    Entry (i, j) is the dot product of columns i and j.
     """
-    cols = columns_matrix.transpose().entries
-    n = len(cols)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            dot = sum(a * b for a, b in zip(cols[i], cols[j]))
-            out[i][j] = dot
-            out[j][i] = dot
-    return ExactMatrix(tuple(tuple(row) for row in out))
+    return columns_matrix.transpose() @ columns_matrix
 
 
 @dataclass(frozen=True)
@@ -153,10 +144,14 @@ def leverrier_char_coeffs(matrix: ExactMatrix) -> CharCoeffs:
     return CharCoeffs(tuple(coeffs))
 
 
+def matrix_to_json(matrix: ExactMatrix) -> dict:
+    """The matrix-file object {"rows": [[rational strings]]}."""
+    return {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
+
+
 def matrix_to_json_str(matrix: ExactMatrix) -> str:
-    """Canonical matrix file: {"rows": [[rational strings]]}, compact, one line."""
-    payload = {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
-    return canonical_json(payload) + "\n"
+    """Canonical matrix file, compact, one line."""
+    return canonical_json(matrix_to_json(matrix)) + "\n"
 
 
 def matrix_from_json(obj: object) -> ExactMatrix:

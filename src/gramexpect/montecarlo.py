@@ -378,11 +378,14 @@ def _aggregate(
             values = [v.numerator for v in values]
         s1, s2, c = sum(values), sum(map(mul, values, values)), comb(n, i)
         mean, exact = Fraction(s1, reps * c), exact_seq[i]
-        stddev = sqrt(float(Fraction(reps * s2 - s1 * s1, reps * (reps - 1) * c * c))) if reps > 1 else None
-        z = float(mean - exact) / (stddev / sqrt(reps)) if stddev else None
-        stats.append(CoefficientStats(
-            index=i, normalized_mean=float(mean), normalized_stddev=stddev, exact_value=exact, z_score=z
-        ))
+        try:
+            stddev = sqrt(float(Fraction(reps * s2 - s1 * s1, reps * (reps - 1) * c * c))) if reps > 1 else None
+            z = float(mean - exact) / (stddev / sqrt(reps)) if stddev else None
+            stats.append(CoefficientStats(
+                index=i, normalized_mean=float(mean), normalized_stddev=stddev, exact_value=exact, z_score=z
+            ))
+        except OverflowError:
+            raise ValueError(f"{exact_seq.kind} coefficient i = {i}: a statistic exceeds float range") from None
     return tuple(stats)
 
 
@@ -456,6 +459,8 @@ def stddev_trend(
         raise ValueError("n_list must be non-empty and strictly increasing")
     if index < 1:
         raise ValueError("coefficient index must be >= 1")
+    if reps < 2:
+        raise ValueError(f"a trend needs reps >= 2 for a sample standard deviation, got {reps}")
     configs = [
         SimulationConfig(model=model, n=n, reps=reps, max_index=index, kind=kind, seed=derive_seed(seed, n))
         for n in n_list
@@ -467,6 +472,5 @@ def stddev_trend(
     points = []
     for config in configs:
         report = simulate(config, threads=threads, op_budget=op_budget)
-        stddev = report.stats_for(kind)[index - 1].normalized_stddev
-        points.append((config.n, 0.0 if stddev is None else stddev))
+        points.append((config.n, report.stats_for(kind)[index - 1].normalized_stddev))
     return points

@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 from math import comb, prod
 from typing import Sequence
 
-from .matrices import CharCoeffs, ExactMatrix, leverrier_char_coeffs
+from .matrices import ExactMatrix, gram, leverrier_char_coeffs
 from .models import DiscreteVectorDistribution
 
 __all__ = [
@@ -44,9 +44,11 @@ class GuardExceeded(Exception):
     """
 
 
-def _require_square(matrix: ExactMatrix, what: str) -> int:
+def _require_square(matrix: ExactMatrix, what: str, max_size: int | None = None) -> int:
     if not matrix.is_square:
         raise ValueError(f"{what} requires a square matrix, got {matrix.rows}x{matrix.cols}")
+    if max_size is not None and matrix.rows > max_size:
+        raise GuardExceeded(f"{what} guard: n = {matrix.rows} exceeds max size {max_size}")
     return matrix.rows
 
 
@@ -67,29 +69,24 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def det_expansion(matrix: ExactMatrix, *, max_size: int = LEIBNIZ_MAX_SIZE) -> Fraction:
-    """Signed Leibniz sum over all permutations. Guarded at n! terms."""
-    n = _require_square(matrix, "det_expansion")
-    if n > max_size:
-        raise GuardExceeded(f"det_expansion guard: n = {n} exceeds max size {max_size}")
+def _leibniz_sum(matrix: ExactMatrix, max_size: int, what: str, signed: bool) -> Fraction:
+    n = _require_square(matrix, what, max_size)
     entries = matrix.entries
     total = Fraction(0)
     for perm in permutations(range(n)):
         term = prod((entries[i][perm[i]] for i in range(n)), start=Fraction(1))
-        total += term if _permutation_sign(perm) > 0 else -term
+        total += -term if signed and _permutation_sign(perm) < 0 else term
     return total
+
+
+def det_expansion(matrix: ExactMatrix, *, max_size: int = LEIBNIZ_MAX_SIZE) -> Fraction:
+    """Signed Leibniz sum over all permutations. Guarded at n! terms."""
+    return _leibniz_sum(matrix, max_size, "det_expansion", signed=True)
 
 
 def perm_expansion(matrix: ExactMatrix, *, max_size: int = LEIBNIZ_MAX_SIZE) -> Fraction:
     """Unsigned Leibniz sum over all permutations. Guarded at n! terms."""
-    n = _require_square(matrix, "perm_expansion")
-    if n > max_size:
-        raise GuardExceeded(f"perm_expansion guard: n = {n} exceeds max size {max_size}")
-    entries = matrix.entries
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        total += prod((entries[i][perm[i]] for i in range(n)), start=Fraction(1))
-    return total
+    return _leibniz_sum(matrix, max_size, "perm_expansion", signed=False)
 
 
 def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -124,9 +121,7 @@ def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def perm_ryser(matrix: ExactMatrix, *, max_size: int = RYSER_MAX_SIZE) -> Fraction:
     """Exact permanent in O(2^n n) via Ryser's formula with Gray-code subsets."""
-    n = _require_square(matrix, "perm_ryser")
-    if n > max_size:
-        raise GuardExceeded(f"perm_ryser guard: n = {n} exceeds max size {max_size}")
+    _require_square(matrix, "perm_ryser", max_size)
     return _perm_ryser_entries(matrix.entries)
 
 
@@ -184,19 +179,15 @@ def brute_force_expectation(
         raise GuardExceeded(
             f"brute_force_expectation guard: {k}^{n} tuples exceed the budget of {tuple_guard}"
         )
-    # Pairwise atom dot products; every Gram entry is one of these.
-    dots = [
-        [sum(x * y for x, y in zip(u, v)) for v, _ in dist.atoms]
-        for u, _ in dist.atoms
-    ]
+    # Pairwise atom dot products; each tuple's Gram matrix takes its rows and columns from these.
+    dots = gram(ExactMatrix(tuple(v for v, _ in dist.atoms)).transpose())
     evaluate = det_bareiss if kind == "det" else perm_ryser
     total = Fraction(0)
     for choice in product(range(k), repeat=n):
         weight = prod((dist.atoms[c][1] for c in choice), start=Fraction(1))
         if weight == 0:
             continue
-        g = ExactMatrix(tuple(tuple(dots[a][b] for b in choice) for a in choice))
-        total += weight * evaluate(g)
+        total += weight * evaluate(dots.submatrix(choice))
     return total
 
 
@@ -248,5 +239,4 @@ def char_poly_coeffs_of_gram(gram_matrix: ExactMatrix) -> tuple[Fraction, ...]:
     Sign-adjusted coefficients of det(lambda I - G); identically zero past
     the rank of G.
     """
-    coeffs: CharCoeffs = leverrier_char_coeffs(gram_matrix)
-    return coeffs.values
+    return leverrier_char_coeffs(gram_matrix).values

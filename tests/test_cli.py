@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -35,6 +36,19 @@ ATOMS_MODEL_JSON = (
 def manifest_of(proc):
     lines = [line for line in proc.stderr.splitlines() if line.strip()]
     return json.loads(lines[-1])
+
+
+@pytest.fixture
+def files(tmp_path, monkeypatch):
+    """GOLDEN_FILES written out, keyed "@name"; no GRAMEXPECT_ variable set."""
+    for name in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
+        monkeypatch.delenv(name)
+    paths = {}
+    for name, text in GOLDEN_FILES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths[f"@{name}"] = str(path)
+    return paths
 
 
 class TestBasics:
@@ -143,6 +157,20 @@ class TestMoments:
         assert det.stdout == "9375/32\n"
 
 
+# A value for each flag an oracle may read; "@name" is a GOLDEN_FILES path.
+ORACLE_FLAG_ARGS = {
+    "--matrix": ["--matrix", "@matrix"],
+    "--max-index": ["--max-index", "1"],
+    "--guard-ops": ["--guard-ops", "100"],
+    "--model": ["--model", "@atoms"],
+    "--paper": ["--paper"],
+    "-n": ["-n", "2"],
+}
+UNREAD_ORACLE_FLAGS = [
+    (name, flag) for name, (reads, _) in cli.ORACLES.items() for flag in cli.ORACLE_FLAGS if flag not in reads
+]
+
+
 class TestOracleCommand:
     def test_ryser_all_ones(self, tmp_path):
         path = tmp_path / "ones.json"
@@ -177,6 +205,37 @@ class TestOracleCommand:
     def test_missing_matrix_exits_2(self):
         proc = run_cli("oracle", "ryser")
         assert proc.returncode == 2
+
+    def test_the_oracle_surface(self):
+        # --output plus the flags each oracle reads, of the seven the subcommand parses.
+        assert sum(1 + len(reads) for reads, _ in cli.ORACLES.values()) == 24
+        assert len(UNREAD_ORACLE_FLAGS) == 39
+
+    @pytest.mark.parametrize("name, flag", UNREAD_ORACLE_FLAGS, ids=[f"{n}{f}" for n, f in UNREAD_ORACLE_FLAGS])
+    def test_flag_the_oracle_does_not_read_exits_2(self, files, capsys, name, flag):
+        inputs = ["--matrix", "@matrix"] if "--matrix" in cli.ORACLES[name][0] else ["--model", "@atoms", "-n", "2"]
+        base = ["oracle", name, *inputs]
+        assert cli.main([files.get(arg, arg) for arg in base]) == 0
+        capsys.readouterr()
+        code = cli.main([files.get(arg, arg) for arg in base + ORACLE_FLAG_ARGS[flag]])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"gramexpect: oracle {name} does not read {flag}\n"
+
+    def test_guard_ops_environment_reaches_permpoly_only(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("GRAMEXPECT_GUARD_OPS", "abc")
+        assert cli.main(["oracle", "ryser", "--matrix", files["@matrix"]]) == 0
+        assert capsys.readouterr().out == "-79/18\n"
+        assert cli.main(["oracle", "permpoly", "--matrix", files["@matrix"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "GRAMEXPECT_GUARD_OPS" in captured.err
+
+    def test_brute_force_needs_n(self, files, capsys):
+        assert cli.main(["oracle", "brute-perm", "--model", files["@atoms"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires -n" in captured.err
 
     def test_float_or_bool_matrix_entry_exits_2(self, tmp_path):
         path = tmp_path / "float.json"
@@ -277,6 +336,25 @@ class TestSimulate:
         assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "-n", "3", "--reps", "3", "--max-index", "2"),
+        ("trend", "--n-list", "3,4", "--reps", "3"),
+    ],
+    ids=["simulate", "trend"],
+)
+def test_statistic_beyond_float_range_exits_2(tmp_path, capsys, argv):
+    # |w|^2 = 10^400 for the first atom: exact, but past the largest float.
+    path = tmp_path / "big.json"
+    atoms = [{"vector": ["1" + "0" * 200], "prob": "1/2"}, {"vector": ["1"], "prob": "1/2"}]
+    path.write_text(json.dumps({"type": "atoms", "atoms": atoms}))
+    assert cli.main([*argv, "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gramexpect: determinant coefficient i = 1: a statistic exceeds float range\n"
+
+
 class TestTrendCommand:
     def test_json_points(self):
         proc = run_cli(
@@ -299,6 +377,13 @@ class TestTrendCommand:
     def test_bad_n_list_exits_2(self):
         proc = run_cli("trend", "--paper", "--n-list", "6,4", "--reps", "2")
         assert proc.returncode == 2
+
+    def test_one_replicate_exits_2(self, capsys):
+        # One replicate has no sample standard deviation to print.
+        assert cli.main(["trend", "--paper", "--n-list", "5,8", "--reps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reps >= 2" in captured.err
 
     def test_seed_beyond_64_bits_exits_2(self, capsys):
         code = cli.main(["trend", "--paper", "--n-list", "5,9", "--reps", "3", "--seed", str(2**64)])
@@ -570,21 +655,129 @@ GOLDEN = {
 }
 
 
-class TestGoldenOutput:
-    @pytest.fixture
-    def files(self, tmp_path, monkeypatch):
-        for name in [k for k in os.environ if k.startswith(cli.ENV_PREFIX)]:
-            monkeypatch.delenv(name)
-        paths = {}
-        for name, text in GOLDEN_FILES.items():
-            path = tmp_path / f"{name}.json"
-            path.write_text(text)
-            paths[f"@{name}"] = str(path)
-        return paths
+# SHA-256 of each run's stderr manifest with its wall_time_s field removed,
+# or "" when the run exits non-zero and writes no manifest.
+MANIFEST_GOLDEN = {
+    "expect-N0-csv": "23cc27d4f66a933b8e097b281503201665b19f86127fb6d31b1180aa41bc8e70",
+    "expect-N0-json": "7c3e0e9064099065710785a11f9940f29ef34094d01b118e714da74e416fdecc",
+    "expect-N0-table": "dd21b9673d2bafab8aa21a94147d3fe0e6bdbda8f8bdf1542b6fd09f5ed3959b",
+    "expect-atoms-csv": "bea36c86b7d69a985dd554ce1abac0920d75a7a1d88cd62b056bae2f8d93da82",
+    "expect-atoms-json": "fffb8accb080bf1f441c1776737b6ab533f45105191fe43c433018cd1fce7f8c",
+    "expect-atoms-table": "be97f986eb4f1dd49c18d98c6eeca18ecf559b731816a82909447508b2a47d5f",
+    "expect-compound-csv": "89d2eb71f4b13e2ddc4d7cdc52e24d4fc008b48e992bf8e58c9ec8f7a19a1566",
+    "expect-compound-json": "f7f502df6fad698b818d26b9e3124957e051893916a91ddaa9a81aa0f30b5193",
+    "expect-compound-table": "b176258b987bd85c1884d3961ba054b949d5d1ace1120e9f4e02250363061769",
+    "expect-decimals0-csv": "08567e2aef59361d04aaebcb15a1c0586c79decc2445ba3dafc0be232f6f73fc",
+    "expect-decimals0-json": "beada6fbe244a43a770576f23c8d25137d667681e7543566d211d4b8bbd120a0",
+    "expect-decimals0-table": "924a5ef32a4a1ef038bbe31a5db54df4d26042f5fce008a370e7812620178b25",
+    "expect-paper-csv": "5272c29e26aac2c9824dae497dc82f50ec5aa001cb5e965dcd1bd64e80a7527f",
+    "expect-paper-json": "6622cad29a87ea2443f4b85b1096bbfbd4dcfe51985732b00a9d0ef20ff44cc4",
+    "expect-paper-table": "cbb894320f4afe4b291fa844fed107fd723e6547d238c5429e4a76a160ec6c5a",
+    "expect-perm-egf-csv": "b230c2773571f5713bd94a942197eb12155c21dcb8599af9ca70c40eaa05b07f",
+    "expect-perm-egf-json": "7de3f15e0559dcfc7196007ef01dee76a8ef6418a4d9f638f932da807fc5be07",
+    "expect-perm-egf-table": "5ee980f9e11db38b611bf3b5e3bda9762748381ecc954461ecc33fd18e84b50b",
+    "guard-exit-3-csv": "",
+    "guard-exit-3-json": "",
+    "guard-exit-3-table": "",
+    "moments-atoms-csv": "d71ffc3f7037e331d741028aa124de0da5a7cc00c9f0d2ec3f96e35d1db1c4b1",
+    "moments-atoms-json": "16f067d07d917216879385bfd53c969b88d869b17083b3bc4bbf9e5cdcfc2cf7",
+    "moments-atoms-table": "3e4da914f12467466a58478f9d4922d6cb76640e203de659aa5aad5cdb08c6a0",
+    "moments-compound-csv": "9d364d4b3ff9a34de397fe29c99b33c738716fa41d21c724706fb82862a3c0b1",
+    "moments-compound-json": "dcfd8df8a47227bb1de4562d012fb00201bae1b58aa1535660c72e7f7abb9ab8",
+    "moments-compound-table": "686df6d1f1aa5890683352311044352c92be03331e7ce83c75c2d0f63f9928d4",
+    "moments-paper-csv": "f509c31399d0a7d2298fe3d67df611bddd969313e6d84b263f5c5a4e22818123",
+    "moments-paper-json": "f09ebd53dcebafd9fa43b55e36a0a098aa00bd9f23836525a0e75a9f3e36d5f3",
+    "moments-paper-table": "1560b8dcec6642c10843d9d25ff0de7d4def12725b9a15565431c2cc00107e44",
+    "oracle-bareiss-csv": "7727d94196532ff7d1b0d811a71762f75979489034627fb4beb3ca2260f46ceb",
+    "oracle-bareiss-json": "d81be0c3c4bfe97503892bfd3bb0e141ca36a0914f1b73ac9468e9889b406331",
+    "oracle-bareiss-table": "3c280624da1e967bb6b5feaa48c187d1c2c698e9962879fd3a2d6de71488a471",
+    "oracle-brute-det-csv": "e8944a1155e5ea40665378fd1bf221c81420b09ec2264062fec3ec730da9100e",
+    "oracle-brute-det-json": "8658ab1615ade938d43e8c736a21ab623b32103826a4837e2ec22f06517fb065",
+    "oracle-brute-det-table": "7be1e19583fb8b723670e3dde76bc842fbf2779dcc7bf32a9f7c819bf3fed82a",
+    "oracle-brute-perm-csv": "8540c8d559f0bacb00bfae38102373cf1bc89ed0e6fa2387dca1b061e1189ff3",
+    "oracle-brute-perm-json": "12fe6ed836deb9f2d2ae40826698f4ab297c701bc0f4a502e2cc007e79b1d034",
+    "oracle-brute-perm-table": "9198510eb52ef455a8d34c70cd4b57af63c680f2ef56d12f22a5bade8562aa1d",
+    "oracle-charpoly-csv": "968de1023705e0f146f99e449d073a0cedfa47ebbbd2651e281f0768d1b3a835",
+    "oracle-charpoly-json": "7034d57382b80cb31e12106b4cb3443a50dad4cdec23a2bb319f0d8d8e561a5d",
+    "oracle-charpoly-table": "c291391d676f5e1ae0888a6e03e33e93db97f4444fde2523ad049051ae210285",
+    "oracle-det-expansion-csv": "b6d0b3a774865a0b62d6f5497447a224e62c72444b31d82105cf7e8f840864ca",
+    "oracle-det-expansion-json": "60de27573858abbc9c17f185b64d1fa57dd76780bc76fa22f6ae859defe8b001",
+    "oracle-det-expansion-table": "85c2ca3e541b5988c9b56b1a9123d1bf2f5190ecfecda9d79cd605faab0507a7",
+    "oracle-gram-csv": "435e024802eef2bc55080557fe71801d7dd4c277afb9cfb4edc230f05050e9ae",
+    "oracle-gram-empty-csv": "c5846ae2929ce29952f361dcb266f71017f6c7a138149411bd0d5c7b1582b9eb",
+    "oracle-gram-empty-json": "b26bb696595c8fb75e9628bbe80c971d4e8c2122c3a900a65117af6df98b9cba",
+    "oracle-gram-empty-table": "ae909f2d5039d94f213d40599500651531c3395eca7fedd957f98cc9066c405a",
+    "oracle-gram-json": "d61ff4829c3af7f99a9ff5424b1a4f469a7f606dbc2d301b635524f0ec2e8bc7",
+    "oracle-gram-table": "1fd97cc803eaf1921112c30ac140b6d36d858402278d5a02fcc318844bee3b13",
+    "oracle-perm-expansion-csv": "813aae220aa17ce04226764ccdfa1c6c5996b5e9deb876ea6ca2187b66bb6089",
+    "oracle-perm-expansion-json": "1ea0421899d890c6b443d93d6a664fccc0545a7d7459002b03bc0ffa4e15b816",
+    "oracle-perm-expansion-table": "16acc88695e0fa58882f305a2526c82d83768f58138bea411cec8b0d0086fa9d",
+    "oracle-permpoly-csv": "22ba818b57251c42a935014607f4861e898aa95efc6bd538c27009c5684be96b",
+    "oracle-permpoly-json": "d82b5746c847ba584cd67d6dcea30b4bd721a19633a7140280c1f6401263bb91",
+    "oracle-permpoly-max-index-csv": "77c0c5a9d794df82d30cc183424fdc4162faeb43800d038dc4e0a1eeac1bbc93",
+    "oracle-permpoly-max-index-json": "7c27e252872048958e0024cf488d4feb9fb28a093a123184e8e25fed723b3a66",
+    "oracle-permpoly-max-index-table": "a8fd0dc03ffb68d6d9bccef41d01ed049c1ac883ee35a24a6b78fa6d3cd1b13a",
+    "oracle-permpoly-table": "fc314719facf7d30d2eafcbc21127d092f2bbc22776059d040d7c8f17893659e",
+    "oracle-ryser-csv": "821df77c928efbd83470e388d4a77d5bc3493767217a43760c4f027b731f84d0",
+    "oracle-ryser-json": "f8bd71a92dba21bc887e83036dacc6dc64b5d493fc17422344f50ea34173c00d",
+    "oracle-ryser-table": "f17ed094cb24e7f5ee148d010466ea1dca443e180762aa85b6ef70660dac49d9",
+    "simulate-atoms-csv": "41cd9514b534f75739e9db4c2335379cb7acad9bf067695d84b1e2a873ce8866",
+    "simulate-atoms-json": "c9966e75341f7c5660c064490d346134097cf7e81836d1cc0b375a3930ca4e57",
+    "simulate-atoms-table": "c6987e67ad6218c98dfaa9805317ee8f648c5f6fdf8df3d5892e823b10247d06",
+    "simulate-both-csv": "f835483469c64ef7655d095b7f357f961e618773877b10a092fbb9bfb1a977e3",
+    "simulate-both-json": "c31fbd6fb012079f3aaa72d6305be949d8957bbe6ebb3c95559f7f820d891c46",
+    "simulate-both-table": "58de9f2ae0b4a3f62ae960828c4782de78feaab12457f2362a3411c9b479fb8e",
+    "simulate-compound-csv": "7a83a3df6c1461ab141f9c50a5f50c18f22dbb5106d14664e799f5c16010082f",
+    "simulate-compound-json": "693b85f802405ecc64b58d73d351a1167cf19ea4754b91f774fb761d238b5431",
+    "simulate-compound-table": "a20f106ac5ef83e38fc75b8a4f7f3b0e5ef770791b22bb3bf0af8d16b9f95bbf",
+    "simulate-max-index0-csv": "ccff59c0ab6421e4915d6adb66fbc10792925d88280c604e4bb46902c0db98f1",
+    "simulate-max-index0-json": "38fb0157cf3823b4cb4c743dfecad672b8f0b3e3ac6f427b162f456dd09a0e16",
+    "simulate-max-index0-table": "ca45a0406eb2e8ab2e28b37b25f15f74e319b814f1c88bdc39f3858a6121122e",
+    "simulate-paper-csv": "c64db722f1a7a0bdedfe108ac23725b1ac7cdce2b17d12976a6eb515e7512c83",
+    "simulate-paper-json": "2bdf104a0c9e44d344f472bf2b2fb12919ee4676cae3e32f4db84100b0e45ca7",
+    "simulate-paper-table": "2bc5525d83a78ec770c89d826691e68f2a3fe92ca5d0b5352e9516829bd1f40f",
+    "simulate-perm-csv": "6bba15ebb948fd37d2f1826c0ad64ec5dd568be0c3f0492416cda69a893c95c9",
+    "simulate-perm-json": "1d39737f4b809aefcecab77deef9db42a34867df4192ea61a78251b7add0f1ef",
+    "simulate-perm-table": "9dd27f567a384a4ac514d168f68ded8d5640753de7ad47c5f247a3edd4cd58d8",
+    "traces-atoms-csv": "6c527fd682bc0815e8f37e6f4127dc05e1a01ee63de3131e177418f9320aa443",
+    "traces-atoms-json": "b32701d73c1c05977c338ab6ca424b2b29e6988833b5d6386e51b13682a799df",
+    "traces-atoms-table": "3639bc08d4fb0b3656dbfa252954ee226960184f6fd6a06a08a8c53c877e4704",
+    "traces-compound-csv": "8de0d3b72f865a6d339649ea1543767553c4cfdc9dcfc9146ef23aed942ce5bd",
+    "traces-compound-json": "ac2ad17fb2dea7727112b29981477eb41a31d8f2ad8c34b5ee865e2721158d73",
+    "traces-compound-table": "0d9901ae884b86e1e6a33c16d0c151e1daed0d79f0741ee1ff06d8a8185b9e5b",
+    "traces-paper-csv": "ddb6f72b60cd22e0c5f5dd18e9d093bea326ab8bb05db9850b74d15449dd53f2",
+    "traces-paper-json": "db4e1cee7c360194358b8fbe03122d6df6dead9d5a6e755f76eab789595b07d7",
+    "traces-paper-table": "8fe2a56328bd8d4757f35f552671d653736f8df4e45e62be5c898a7986bcb5d4",
+    "trend-atoms-csv": "29a041f1a2d879d9248223d4531b242e701c8613577010acc86972eabba4c9f6",
+    "trend-atoms-json": "5bc48c5add60944b880357fdddf5de4326936b3a0f5b0583fdb0b69d29d774f5",
+    "trend-atoms-table": "4b55f5628316214927eacaeab23d7e9098ea0239cadf17cf35ce009320b658c2",
+    "trend-compound-csv": "47d32d541180aa8ecd631677fdf5b367ddcaf5f800b3fe166d974b4afffd8d99",
+    "trend-compound-json": "84a39b5fa0583c03f71232a29b04fb4398fd343dffba9434fd685e0d071cfa9d",
+    "trend-compound-table": "0a678582521a0a29384015ad743ec5b949cbe37fc432ff01e8a9f9be971929f7",
+    "trend-paper-csv": "052acb173d65e9ae95cfa19e85814ab0bece69f2a366a2e72bfa61271ec3d8e3",
+    "trend-paper-json": "4bbf819248f72577a18da663d6b34ea3000e3cd72a5851686607d0048c8c6db5",
+    "trend-paper-table": "1d2205e9b502511d32cad8023d87a63b10455a70848fd0d8dfe3fed485095673",
+    "trend-perm-csv": "2f0c648d7a629fa9c31f977753902bcd7971e9745cc18b39ac623ca222eb005e",
+    "trend-perm-json": "9f7fa52309b328baa6f82608b969207ef7639149bf81451c87f0629f2fd07391",
+    "trend-perm-table": "8af267d7ca07761a37b2961dc85df502e440436cfb2cb1c154acf4e2fbc4076e",
+    "usage-exit-2-csv": "",
+    "usage-exit-2-json": "",
+    "usage-exit-2-table": "",
+}
 
+
+class TestGoldenOutput:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
     def test_stdout_and_exit_code_frozen(self, case, files, capsys):
         argv = [files.get(arg, arg) for arg in GOLDEN_CASES[case]]
         code = cli.main(argv)
         digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
         assert (code, digest) == GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_manifest_frozen(self, case, files, capsys):
+        argv = [files.get(arg, arg) for arg in GOLDEN_CASES[case]]
+        code = cli.main(argv)
+        manifest = re.sub(r',"wall_time_s":[^,}]*', "", capsys.readouterr().err.splitlines()[-1])
+        digest = hashlib.sha256(manifest.encode("utf-8")).hexdigest() if code == 0 else ""
+        assert digest == MANIFEST_GOLDEN[case]

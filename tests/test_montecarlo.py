@@ -569,3 +569,11 @@ class TestTrend:
         monkeypatch.setattr(montecarlo, "_replicate_worker", None)
         with pytest.raises(ValueError, match="64 bits"):
             stddev_trend(paper_model(), [5, 9], reps=3, index=2, kind="det", seed=seed)
+
+    def test_one_replicate_refused_before_any_work(self, monkeypatch):
+        # One replicate has no sample standard deviation; it used to print 0.
+        import gramexpect.montecarlo as montecarlo
+
+        monkeypatch.setattr(montecarlo, "_replicate_worker", None)
+        with pytest.raises(ValueError, match="reps >= 2"):
+            stddev_trend(paper_model(), [5, 8], reps=1, index=2, kind="det", seed=0)

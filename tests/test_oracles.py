@@ -61,6 +61,17 @@ class TestExpansionOracles:
         with pytest.raises(GuardExceeded):
             perm_expansion(ones(3), max_size=2)
 
+    @pytest.mark.parametrize("expand, at_bound", [(det_expansion, 0), (perm_expansion, 2)], ids=["det", "perm"])
+    def test_guard_names_its_expansion(self, expand, at_bound):
+        name = expand.__name__
+        assert expand(ones(2), max_size=2) == at_bound
+        with pytest.raises(GuardExceeded, match=f"^{name} guard: n = 3 exceeds max size 2$"):
+            expand(ones(3), max_size=2)
+        with pytest.raises(GuardExceeded, match=f"^{name} guard: n = 10 exceeds max size 9$"):
+            expand(ones(10))
+        with pytest.raises(ValueError, match=f"^{name} requires a square matrix, got 1x2$"):
+            expand(ExactMatrix.from_rows([[1, 2]]))
+
 
 class TestRyser:
     def test_all_ones_counts_permutations(self):

@@ -50,3 +50,17 @@ def test_transcript_stdout_is_byte_equal(argv, stdout, capsys, monkeypatch):
         monkeypatch.delenv(name)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == stdout
+
+
+ORACLE_LINES = [
+    line.partition("#")[0].split()
+    for block in _blocks("text")
+    for line in re.findall(r"^\$ gramexpect (oracle .*)$", block, re.M)
+]
+
+
+@pytest.mark.parametrize("argv", ORACLE_LINES, ids=[argv[1] for argv in ORACLE_LINES])
+def test_oracle_line_is_accepted(argv):
+    # Parsed, and holding only flags its oracle reads: the part of a run that needs no files.
+    args = cli.build_parser().parse_args(argv)
+    cli._select_oracle_inputs(args)
