@@ -74,10 +74,6 @@ GUARD_OPS_HELP = (
 )
 
 
-class UsageError(Exception):
-    """Bad arguments or unreadable/malformed input files (exit 2)."""
-
-
 class VerificationMismatch(Exception):
     """Two computation paths disagreed (exit 1)."""
 
@@ -122,9 +118,9 @@ def _resolve_int(args: argparse.Namespace, dest: str) -> int:
             try:
                 value = int(raw)
             except ValueError:
-                raise UsageError(f"{ENV_PREFIX}{dest.upper()} must be an integer, got {raw!r}")
+                raise ValueError(f"{ENV_PREFIX}{dest.upper()} must be an integer, got {raw!r}")
     if value < minimum:
-        raise UsageError(f"{dest.replace('_', '-')} must be >= {minimum}, got {value}")
+        raise ValueError(f"{dest.replace('_', '-')} must be >= {minimum}, got {value}")
     return value
 
 
@@ -132,7 +128,7 @@ def _resolve_common(args: argparse.Namespace, default_output: str) -> None:
     """Settle the output and the integer flags this command takes, flag before environment."""
     output = args.output or _env("OUTPUT") or default_output
     if output not in OUTPUT_CHOICES:
-        raise UsageError(f"output must be one of {', '.join(OUTPUT_CHOICES)}, got {output!r}")
+        raise ValueError(f"output must be one of {', '.join(OUTPUT_CHOICES)}, got {output!r}")
     args.output = output
     for dest in INT_FLAGS:
         if hasattr(args, dest):
@@ -144,25 +140,25 @@ def _read_file(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _load_model(args: argparse.Namespace) -> tuple[Model, dict | str]:
     if args.paper and args.model:
-        raise UsageError("--paper and --model are mutually exclusive")
+        raise ValueError("--paper and --model are mutually exclusive")
     if args.paper:
         return paper_model(), "builtin:paper"
     if args.model:
         model = model_from_json_str(_read_file(args.model))
         return model, model_to_dict(model)
-    raise UsageError("a model is required: pass --model FILE or --paper")
+    raise ValueError("a model is required: pass --model FILE or --paper")
 
 
 def _load_matrix(args: argparse.Namespace) -> ExactMatrix:
     try:
         return matrix_from_json_str(_read_file(args.matrix))
     except json.JSONDecodeError as exc:
-        raise UsageError(f"matrix file is not valid JSON: {exc}")
+        raise ValueError(f"matrix file is not valid JSON: {exc}")
 
 
 def _render(output: str, body: object, headers: list[str] | None, rows: Iterable[list[str]]) -> str:
@@ -204,7 +200,7 @@ def cmd_moments(args: argparse.Namespace) -> tuple[str, dict]:
 def cmd_traces(args: argparse.Namespace) -> tuple[str, dict]:
     model, model_desc = _load_model(args)
     if args.terms < 1:
-        raise UsageError("--terms must be >= 1")
+        raise ValueError("--terms must be >= 1")
     matrix = moment_matrix(model)
     traces = traces_by_power(matrix, args.terms)
     # Silent cross-check through Newton's identities; a disagreement here
@@ -264,7 +260,7 @@ def _expect_sequences(model: Model, terms: int, kind: str, path: str) -> dict[st
 def cmd_expect(args: argparse.Namespace) -> tuple[str, dict]:
     model, model_desc = _load_model(args)
     if args.terms < 0:
-        raise UsageError("--terms must be >= 0")
+        raise ValueError("--terms must be >= 0")
     values = _expect_sequences(model, args.terms, args.kind, args.path)
     config = {
         "model": model_desc,
@@ -334,11 +330,11 @@ def _select_oracle_inputs(args: argparse.Namespace) -> None:
         value = getattr(args, dest)
         if flag in reads:
             if value is None and flag in ("--matrix", "-n"):
-                raise UsageError(f"oracle {args.oracle} requires {flag}")
+                raise ValueError(f"oracle {args.oracle} requires {flag}")
         elif value is None or value is False:  # not given; -n 0 is given
             delattr(args, dest)
         else:
-            raise UsageError(f"oracle {args.oracle} does not read {flag}")
+            raise ValueError(f"oracle {args.oracle} does not read {flag}")
 
 
 def _oracle_payload(output: str, name: str, result: object) -> str:
@@ -361,7 +357,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[str, dict]:
     else:
         source, config["model"] = _load_model(args)
         if not hasattr(source, "atoms"):
-            raise UsageError("brute-force oracles need an atoms model")
+            raise ValueError("brute-force oracles need an atoms model")
     if "max_index" in vars(args) and args.max_index is None:
         args.max_index = source.rows
     ints = {dest: value for dest, value in vars(args).items() if dest in ("n", "max_index", "guard_ops")}
@@ -379,17 +375,14 @@ def _float_or_dash(value: float | None) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     model, model_desc = _load_model(args)
-    try:
-        config = SimulationConfig(
-            model=model,
-            n=args.n,
-            reps=args.reps,
-            max_index=args.max_index,
-            kind=args.kind,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = SimulationConfig(
+        model=model,
+        n=args.n,
+        reps=args.reps,
+        max_index=args.max_index,
+        kind=args.kind,
+        seed=args.seed,
+    )
     check_sampling_draws(model, args.n, args.guard_ops)
     report = simulate(config, threads=args.threads, op_budget=args.guard_ops)
     manifest_config = {
@@ -453,21 +446,18 @@ def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
     try:
         n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError:
-        raise UsageError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
+        raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
     check_sampling_draws(model, max(n_list, default=0), args.guard_ops)
-    try:
-        points = stddev_trend(
-            model,
-            n_list,
-            args.reps,
-            args.index,
-            args.kind,
-            args.seed,
-            threads=args.threads,
-            op_budget=args.guard_ops,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    points = stddev_trend(
+        model,
+        n_list,
+        args.reps,
+        args.index,
+        args.kind,
+        args.seed,
+        threads=args.threads,
+        op_budget=args.guard_ops,
+    )
     config = {
         "model": model_desc,
         "n_list": n_list,
@@ -564,9 +554,6 @@ def main(argv: list[str] | None = None) -> int:
             _select_oracle_inputs(args)
         _resolve_common(args, args.default_output)
         payload, config = args.handler(args)
-    except UsageError as exc:
-        print(f"gramexpect: {exc}", file=sys.stderr)
-        return 2
     except InvalidModelError as exc:
         print(f"gramexpect: invalid model: {exc}", file=sys.stderr)
         return 2

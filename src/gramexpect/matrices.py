@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .scalars import canonical_json, format_rational, to_rational
+from .scalars import format_rational, to_rational
 
 EntryLike = Fraction | int | str
 
@@ -65,13 +65,6 @@ class ExactMatrix:
         if not self.is_square:
             raise ValueError("trace requires a square matrix")
         return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
-    def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.rows)
-        )
 
     def submatrix(self, keep: Sequence[int]) -> "ExactMatrix":
         """Principal submatrix on the given row/column indices."""
@@ -147,11 +140,6 @@ def leverrier_char_coeffs(matrix: ExactMatrix) -> CharCoeffs:
 def matrix_to_json(matrix: ExactMatrix) -> dict:
     """The matrix-file object {"rows": [[rational strings]]}."""
     return {"rows": [[format_rational(v) for v in row] for row in matrix.entries]}
-
-
-def matrix_to_json_str(matrix: ExactMatrix) -> str:
-    """Canonical matrix file, compact, one line."""
-    return canonical_json(matrix_to_json(matrix)) + "\n"
 
 
 def matrix_from_json(obj: object) -> ExactMatrix:

@@ -43,7 +43,7 @@ from struct import unpack
 from typing import Sequence
 
 from .matrices import ExactMatrix, leverrier_char_coeffs
-from .scalars import canonical_json, format_rational, to_rational
+from .scalars import format_rational, to_rational
 
 _TWO64 = 1 << 64
 
@@ -392,11 +392,6 @@ def model_to_dict(model: Model) -> dict:
             "ell_law": [{"ell": e, "prob": format_rational(p)} for e, p in model.ell_law],
         }
     raise InvalidModelError(f"unsupported model type: {type(model).__name__}")
-
-
-def model_to_json_str(model: Model) -> str:
-    """Canonical one-line JSON: sorted keys, compact separators."""
-    return canonical_json(model_to_dict(model)) + "\n"
 
 
 def model_from_dict(obj: object) -> Model:

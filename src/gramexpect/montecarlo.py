@@ -32,7 +32,7 @@ from operator import mul
 from random import Random
 
 # sample_vector is no longer called here but stays importable from this module.
-from .models import Model, column_draws, moment_matrix, sample_columns, sample_rows, sample_vector
+from .models import Model, column_draws, moment_matrix, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
 from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
@@ -129,11 +129,6 @@ class SimulationReport:
             raise ValueError(f"report holds no {kind!r} replicate values")
         scales = [comb(self.n, i) for i in range(1, self.max_index + 1)]
         return tuple(tuple(v / c for v, c in zip(row, scales)) for row in self.raw[kind])
-
-
-def sample_gram(model: Model, n: int, rng: Random) -> ExactMatrix:
-    """G = A^T A for n freshly drawn columns, as an ExactMatrix of Fractions."""
-    return _gram_entries(sample_columns(model, n, rng))
 
 
 def _gram_entries(columns: list[tuple]) -> ExactMatrix:

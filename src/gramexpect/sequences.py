@@ -2,8 +2,8 @@
 
 Let G_n = A^T A where A has n i.i.d. columns with second-moment matrix M,
 and write a_n = E(det(G_n)), p_n = E(perm(G_n)), t_k = trace(M^k). Three
-independent routes to the same numbers are implemented, and kept separate
-on purpose so they can police each other:
+routes to the same numbers are implemented, and kept separate on purpose so
+they can police each other:
 
 * recursion:
       a_{n+1} = sum_{j=0}^{n} C(n,j) (-1)^j j! a_{n-j} t_{j+1}
@@ -14,6 +14,12 @@ on purpose so they can police each other:
 * exponential generating function:
       sum a_n x^n / n! = exp(t_1 x - t_2 x^2/2 + t_3 x^3/3 - ...)
   and with all plus signs inside the exp for p_n.
+
+The recursion and the EGF are one recurrence: with q_n = a_n / n! the
+recursion reads (n+1) q_{n+1} = sum_j (-1)^j q_{n-j} t_{j+1}, the series
+exp's own. They check two implementations and two representations against
+each other. Only the closed form (Leverrier, then a series inverse) is
+algorithmically independent.
 
 The cycle-weight sum generalizes both recursions to arbitrary weights, and
 ``expected_coefficient`` scales a_i / p_i up to coefficient expectations of
@@ -107,20 +113,10 @@ def expected_perm_recursion(traces: TraceSequence, count: int) -> ExpectedSequen
     return ExpectedSequence(KIND_PERM, PATH_RECURSION, _expectation_recursion(traces, count, signed=False))
 
 
-def expected_det_from_char(coeffs: CharCoeffs, n: int) -> Fraction:
-    """a_n = n! c_n, with c_n = 0 beyond the matrix dimension."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n > coeffs.dimension:
-        return Fraction(0)
-    return factorial(n) * coeffs[n]
-
-
 def det_sequence_from_char(coeffs: CharCoeffs, count: int) -> ExpectedSequence:
-    """a_0..a_count assembled from the closed form, for pointwise comparison."""
-    return ExpectedSequence(
-        KIND_DET, PATH_CHAR, tuple(expected_det_from_char(coeffs, n) for n in range(count + 1))
-    )
+    """a_0..a_count by the closed form a_n = n! c_n, with c_n = 0 beyond the matrix dimension."""
+    values = (factorial(n) * coeffs[n] if n <= coeffs.dimension else Fraction(0) for n in range(count + 1))
+    return ExpectedSequence(KIND_DET, PATH_CHAR, tuple(values))
 
 
 def _alternating_char_series(coeffs: CharCoeffs, order: int) -> TruncatedSeries:

@@ -1,9 +1,9 @@
 """Truncated formal power series with exact rational coefficients.
 
-Supports exactly what the generating-function identities need: ring
-operations, exp of a series with zero constant term, and inversion of a
-series with nonzero constant term. Everything is truncated at a fixed order
-and every coefficient is a Fraction, so results are exact by construction.
+Supports exactly what the generating-function identities need: exp of a
+series with zero constant term, and inversion of a series with nonzero
+constant term. Everything is truncated at a fixed order and every
+coefficient is a Fraction, so results are exact by construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .scalars import to_rational
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients of x^0..x^order; arithmetic truncates past ``order``."""
+    """Coefficients of x^0..x^order; ``exp`` and ``inverse`` keep that order."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -35,14 +35,6 @@ class TruncatedSeries:
             coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
         return cls(tuple(coeffs))
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls.from_coefficients([1], order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -51,35 +43,6 @@ class TruncatedSeries:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient index {k} out of range 0..{self.order}")
         return self.coeffs[k]
-
-    def _common_order(self, other: "TruncatedSeries") -> int:
-        # Truncation order of a combined result: information past the
-        # shorter operand is unknown, so the result stops there.
-        return min(self.order, other.order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        return TruncatedSeries(tuple(self.coeffs[k] + other.coeffs[k] for k in range(n + 1)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        return TruncatedSeries(tuple(self.coeffs[k] - other.coeffs[k] for k in range(n + 1)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = self._common_order(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, factor: Fraction | int) -> "TruncatedSeries":
-        f = Fraction(factor)
-        return TruncatedSeries(tuple(f * c for c in self.coeffs))
 
     def exp(self) -> "TruncatedSeries":
         """exp(S) for a series with S(0) = 0.

@@ -16,7 +16,6 @@ from random import Random
 
 from gramexpect import (
     SimulationConfig,
-    brute_force_expectation,
     det_sequence_from_char,
     egf_expand_det,
     egf_expand_perm,
@@ -25,10 +24,7 @@ from gramexpect import (
     expected_perm_recursion,
     char_coeffs,
     moment_matrix,
-    moment_matrix_from_atoms,
     paper_model,
-    perm_expansion,
-    perm_ryser,
     retry_seed,
     simulate,
     stddev_trend,
@@ -36,7 +32,8 @@ from gramexpect import (
     weighted_cycle_sum,
 )
 from gramexpect.matrices import ExactMatrix
-from gramexpect.models import MomentMatrix
+from gramexpect.models import MomentMatrix, moment_matrix_from_atoms
+from gramexpect.oracles import brute_force_expectation, perm_expansion, perm_ryser
 from gramexpect.scalars import decimal_string
 
 from conftest import random_atoms_distribution, random_matrix, random_psd, run_cli

@@ -6,12 +6,15 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 
 import gramexpect.cli as cli
+import gramexpect.oracles as oracles
 from gramexpect import __version__, moment_matrix, paper_model, retry_seed
-from gramexpect.matrices import matrix_to_json_str
+from gramexpect.matrices import matrix_to_json
+from gramexpect.scalars import canonical_json
 from gramexpect.traces import TraceSequence
 
 from conftest import run_cli
@@ -145,7 +148,7 @@ class TestExpect:
 class TestMoments:
     def test_json_matches_library(self):
         proc = run_cli("moments", "--paper", "--output", "json")
-        expected = matrix_to_json_str(moment_matrix(paper_model()).as_exact_matrix())
+        expected = canonical_json(matrix_to_json(moment_matrix(paper_model()).as_exact_matrix())) + "\n"
         assert proc.stdout == expected
 
     def test_json_round_trips_through_oracle(self, tmp_path):
@@ -243,6 +246,23 @@ class TestOracleCommand:
         proc = run_cli("oracle", "ryser", "--matrix", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "name, bound", [("bareiss", oracles.BAREISS_MAX_SIZE), ("charpoly", oracles.CHARPOLY_MAX_SIZE)]
+    )
+    def test_elimination_oracle_past_its_bound_exits_3(self, tmp_path, capsys, name, bound):
+        rng = Random(bound)
+        size = bound + 1
+        rows = [[str(rng.randint(-4, 4)) for _ in range(size)] for _ in range(size)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rows": rows}))
+        start = time.perf_counter()
+        code = cli.main(["oracle", name, "--matrix", str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert f"guard: n = {size} exceeds max size {bound}" in captured.err
+        assert elapsed < 1.0
 
     def test_malformed_matrix_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -11,24 +11,27 @@ from gramexpect import (
     DiscreteVectorDistribution,
     GuardExceeded,
     SimulationConfig,
-    SimulationReport,
-    char_poly_coeffs_of_gram,
     derive_seed,
     expected_det_recursion,
     moment_matrix,
     paper_model,
-    permanental_poly_coeffs,
     retry_seed,
-    sample_gram,
-    sample_vector,
     simulate,
     stddev_trend,
     traces_by_power,
 )
 from gramexpect.matrices import ExactMatrix, gram
-from gramexpect.models import CompoundCountModel, MultinomialCountModel, column_draws, sample_columns, sample_rows
+from gramexpect.models import (
+    CompoundCountModel,
+    MultinomialCountModel,
+    column_draws,
+    sample_columns,
+    sample_rows,
+    sample_vector,
+)
 from gramexpect.montecarlo import (
     CoefficientStats,
+    SimulationReport,
     _aggregate,
     _char_coefficient_values,
     _row_gram,
@@ -37,7 +40,7 @@ from gramexpect.montecarlo import (
     perm_by_wick,
     perm_coefficient_op_cost,
 )
-from gramexpect.oracles import OP_BUDGET, permanental_op_cost
+from gramexpect.oracles import OP_BUDGET, char_poly_coeffs_of_gram, permanental_op_cost, permanental_poly_coeffs
 
 from conftest import random_atoms_distribution
 
@@ -70,6 +73,11 @@ class TestSeedSplitting:
         assert all(derive_seed(20240801, r) != retry for r in range(1000))
 
 
+def sample_gram(model, n, rng):
+    """G = A^T A of n freshly drawn columns."""
+    return gram(ExactMatrix.from_rows(zip(*sample_columns(model, n, rng))))
+
+
 class TestSampleGram:
     def test_deterministic_per_seed(self):
         a = sample_gram(paper_model(), 5, Random(11))
@@ -88,7 +96,7 @@ class TestSampleGram:
 
     def test_symmetric_with_nonnegative_diagonal(self):
         g = sample_gram(paper_model(), 6, Random(13))
-        assert g.is_symmetric()
+        assert g == g.transpose()
         assert all(g.entries[i][i] >= 0 for i in range(6))
 
 

@@ -8,21 +8,24 @@ from gramexpect import (
     DiscreteVectorDistribution,
     ExactMatrix,
     GuardExceeded,
+    expected_det_recursion,
+    expected_perm_recursion,
+    traces_by_power,
+)
+from gramexpect.matrices import gram, identity
+from gramexpect.models import moment_matrix_from_atoms
+from gramexpect.oracles import (
+    BAREISS_MAX_SIZE,
+    CHARPOLY_MAX_SIZE,
     brute_force_expectation,
     char_poly_coeffs_of_gram,
     det_bareiss,
     det_expansion,
-    expected_det_recursion,
-    expected_perm_recursion,
-    gram,
-    identity,
-    moment_matrix_from_atoms,
     perm_expansion,
     perm_ryser,
+    permanental_op_cost,
     permanental_poly_coeffs,
-    traces_by_power,
 )
-from gramexpect.oracles import permanental_op_cost
 
 from conftest import random_atoms_distribution, random_matrix
 
@@ -109,6 +112,11 @@ class TestBareiss:
     def test_pivoting_tracks_sign(self):
         m = ExactMatrix.from_rows([[0, 1], [1, 0]])
         assert det_bareiss(m) == -1
+
+    def test_size_guard(self):
+        assert BAREISS_MAX_SIZE == 100
+        with pytest.raises(GuardExceeded, match="^det_bareiss guard: n = 101 exceeds max size 100$"):
+            det_bareiss(identity(101))
 
     def test_duplicate_gram_columns_are_singular(self):
         a = ExactMatrix.from_rows([[1, 1, 2], [3, 3, 5]])
@@ -217,6 +225,13 @@ class TestPermanentalCoeffs:
 
 
 class TestCharPolyOfGram:
+    def test_size_guard(self):
+        assert CHARPOLY_MAX_SIZE == 32
+        with pytest.raises(GuardExceeded, match="^char_poly_coeffs_of_gram guard: n = 33 exceeds max size 32$"):
+            char_poly_coeffs_of_gram(identity(33))
+        with pytest.raises(ValueError, match="^char_poly_coeffs_of_gram requires a square matrix, got 1x2$"):
+            char_poly_coeffs_of_gram(ExactMatrix.from_rows([[1, 2]]))
+
     def test_identity(self):
         assert char_poly_coeffs_of_gram(identity(3)) == (F(1), F(3), F(3), F(1))
 

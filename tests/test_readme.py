@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import gramexpect
 import gramexpect.cli as cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -42,6 +43,21 @@ def test_quick_start_runs():
 
 def test_every_transcribed_command_has_one_transcript():
     assert sorted(argv[0] for argv, _ in TRANSCRIPTS) == sorted(TRANSCRIBED)
+
+
+def _api_table_names() -> list[str]:
+    """Every backticked name in the second column of the Library API table."""
+    section = README.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")][1:]
+    return [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+
+
+def test_library_api_table_is_the_export_list():
+    names = _api_table_names()
+    assert sorted(names) == sorted(set(gramexpect.__all__) - {"__version__"})
+    assert len(names) == len(set(names)) == len(gramexpect.__all__) - 1
+    for name in names:
+        assert getattr(gramexpect, name) is not None
 
 
 @pytest.mark.parametrize("argv, stdout", TRANSCRIPTS, ids=[argv[0] for argv, _ in TRANSCRIPTS])

@@ -6,23 +6,21 @@ from random import Random
 import pytest
 
 from gramexpect import (
-    MomentMatrix,
     TraceSequence,
     char_coeffs,
     det_sequence_from_char,
     egf_expand_det,
     egf_expand_perm,
     expected_coefficient,
-    expected_det_from_char,
     expected_det_recursion,
     expected_perm_from_char,
     expected_perm_recursion,
-    moment_matrix_multinomial,
     paper_model,
     traces_by_power,
     weighted_cycle_sum,
 )
 from gramexpect.matrices import CharCoeffs
+from gramexpect.models import MomentMatrix, moment_matrix_multinomial
 from gramexpect.oracles import det_bareiss
 
 from conftest import random_psd
@@ -143,10 +141,11 @@ class TestRecursions:
 class TestCharClosedForm:
     def test_det_is_scaled_coefficient(self):
         coeffs = char_coeffs(paper_moments())
-        assert expected_det_from_char(coeffs, 0) == 1
+        seq = det_sequence_from_char(coeffs, 7)
+        assert seq[0] == 1
         for n in range(1, 5):
-            assert expected_det_from_char(coeffs, n) == factorial(n) * PAPER_CHAR[n]
-        assert expected_det_from_char(coeffs, 7) == 0
+            assert seq[n] == factorial(n) * PAPER_CHAR[n]
+        assert seq[7] == 0
 
     def test_det_sequence_matches_recursion(self):
         coeffs = char_coeffs(paper_moments())

