@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Iterable
 
@@ -78,21 +77,6 @@ class VerificationMismatch(Exception):
     """Two computation paths disagreed (exit 1)."""
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run, emitted to stderr as one line."""
-
-    subcommand: str
-    config: dict
-    version: str
-    seed: int | None
-    wall_time_s: float
-    output_sha256: str
-
-    def to_json(self) -> str:
-        return canonical_json(asdict(self))
-
-
 def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
@@ -143,15 +127,19 @@ def _read_file(path: str) -> str:
         raise ValueError(f"cannot read {path}: {exc}")
 
 
-def _load_model(args: argparse.Namespace) -> tuple[Model, dict | str]:
+def _load_model(args: argparse.Namespace) -> Model:
+    """The model of --paper or --model; ``args.model`` becomes "builtin:paper" or the model as a dict."""
     if args.paper and args.model:
         raise ValueError("--paper and --model are mutually exclusive")
     if args.paper:
-        return paper_model(), "builtin:paper"
-    if args.model:
+        model, args.model = paper_model(), "builtin:paper"
+    elif args.model:
         model = model_from_json_str(_read_file(args.model))
-        return model, model_to_dict(model)
-    raise ValueError("a model is required: pass --model FILE or --paper")
+        args.model = model_to_dict(model)
+    else:
+        raise ValueError("a model is required: pass --model FILE or --paper")
+    del args.paper
+    return model
 
 
 def _load_matrix(args: argparse.Namespace) -> ExactMatrix:
@@ -188,17 +176,15 @@ def _render_matrix(output: str, matrix: ExactMatrix) -> str:
 # ---------------------------------------------------------------- moments
 
 
-def cmd_moments(args: argparse.Namespace) -> tuple[str, dict]:
-    model, model_desc = _load_model(args)
-    payload = _render_matrix(args.output, moment_matrix(model).as_exact_matrix())
-    return payload, {"model": model_desc, "output": args.output}
+def cmd_moments(args: argparse.Namespace) -> str:
+    return _render_matrix(args.output, moment_matrix(_load_model(args)).as_exact_matrix())
 
 
 # ----------------------------------------------------------------- traces
 
 
-def cmd_traces(args: argparse.Namespace) -> tuple[str, dict]:
-    model, model_desc = _load_model(args)
+def cmd_traces(args: argparse.Namespace) -> str:
+    model = _load_model(args)
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
     matrix = moment_matrix(model)
@@ -212,8 +198,7 @@ def cmd_traces(args: argparse.Namespace) -> tuple[str, dict]:
         )
     strings = [format_rational(v) for v in traces.values]
     rows = ([str(i), s] for i, s in enumerate(strings, start=1))
-    payload = _render(args.output, {"t": strings}, ["n", "trace"], rows)
-    return payload, {"model": model_desc, "terms": args.terms, "output": args.output}
+    return _render(args.output, {"t": strings}, ["n", "trace"], rows)
 
 
 # ----------------------------------------------------------------- expect
@@ -257,19 +242,11 @@ def _expect_sequences(model: Model, terms: int, kind: str, path: str) -> dict[st
     return out
 
 
-def cmd_expect(args: argparse.Namespace) -> tuple[str, dict]:
-    model, model_desc = _load_model(args)
+def cmd_expect(args: argparse.Namespace) -> str:
+    model = _load_model(args)
     if args.terms < 0:
         raise ValueError("--terms must be >= 0")
     values = _expect_sequences(model, args.terms, args.kind, args.path)
-    config = {
-        "model": model_desc,
-        "terms": args.terms,
-        "kind": args.kind,
-        "path": args.path,
-        "decimals": args.decimals,
-        "output": args.output,
-    }
     cells = {
         k: [(format_rational(v), decimal_string(v, args.decimals)) for v in seq]
         for k, seq in values.items()
@@ -294,7 +271,7 @@ def cmd_expect(args: argparse.Namespace) -> tuple[str, dict]:
             [str(n), *(cell for pairs in cells.values() for cell in pairs[n])]
             for n in range(args.terms + 1)
         )
-    return _render(args.output, body, headers, rows), config
+    return _render(args.output, body, headers, rows)
 
 
 # ----------------------------------------------------------------- oracle
@@ -349,21 +326,19 @@ def _oracle_payload(output: str, name: str, result: object) -> str:
     return _render(output, {"oracle": name, "result": cell}, ["result"] if output == "csv" else None, [[cell]])
 
 
-def cmd_oracle(args: argparse.Namespace) -> tuple[str, dict]:
-    config: dict = {"oracle": args.oracle, "output": args.output}
+def cmd_oracle(args: argparse.Namespace) -> str:
     if hasattr(args, "matrix"):
         source = _load_matrix(args)
-        config["matrix"] = matrix_to_json(source)
+        args.matrix = matrix_to_json(source)
     else:
-        source, config["model"] = _load_model(args)
+        source = _load_model(args)
         if not hasattr(source, "atoms"):
             raise ValueError("brute-force oracles need an atoms model")
     if "max_index" in vars(args) and args.max_index is None:
         args.max_index = source.rows
     ints = {dest: value for dest, value in vars(args).items() if dest in ("n", "max_index", "guard_ops")}
-    config.update(ints)
-    config.pop("guard_ops", None)  # a bound on the work, not an input of the result
-    return _oracle_payload(args.output, args.oracle, ORACLES[args.oracle][1](source, **ints)), config
+    vars(args).pop("guard_ops", None)  # a bound on the work, not an input of the result
+    return _oracle_payload(args.output, args.oracle, ORACLES[args.oracle][1](source, **ints))
 
 
 # --------------------------------------------------------------- simulate
@@ -373,8 +348,8 @@ def _float_or_dash(value: float | None) -> str:
     return "-" if value is None else format_float(value)
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
-    model, model_desc = _load_model(args)
+def cmd_simulate(args: argparse.Namespace) -> str:
+    model = _load_model(args)
     config = SimulationConfig(
         model=model,
         n=args.n,
@@ -385,16 +360,6 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
     )
     check_sampling_draws(model, args.n, args.guard_ops)
     report = simulate(config, threads=args.threads, op_budget=args.guard_ops)
-    manifest_config = {
-        "model": model_desc,
-        "n": args.n,
-        "reps": args.reps,
-        "max_index": args.max_index,
-        "kind": args.kind,
-        "threads": args.threads,
-        "guard_ops": args.guard_ops,
-        "output": args.output,
-    }
     stats = report.stats
     body = {key: getattr(report, key) for key in ("n", "reps", "seed", "max_index", "kind", "mode")}
     body["stats"] = {
@@ -435,22 +400,22 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, dict]:
             for kind, source in stats.items()
             for s in source
         )
-    return _render(args.output, body, headers, rows), manifest_config
+    return _render(args.output, body, headers, rows)
 
 
 # ------------------------------------------------------------------ trend
 
 
-def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
-    model, model_desc = _load_model(args)
+def cmd_trend(args: argparse.Namespace) -> str:
+    model = _load_model(args)
     try:
-        n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
+        args.n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
-    check_sampling_draws(model, max(n_list, default=0), args.guard_ops)
+    check_sampling_draws(model, max(args.n_list, default=0), args.guard_ops)
     points = stddev_trend(
         model,
-        n_list,
+        args.n_list,
         args.reps,
         args.index,
         args.kind,
@@ -458,16 +423,6 @@ def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
         threads=args.threads,
         op_budget=args.guard_ops,
     )
-    config = {
-        "model": model_desc,
-        "n_list": n_list,
-        "reps": args.reps,
-        "index": args.index,
-        "kind": args.kind,
-        "threads": args.threads,
-        "guard_ops": args.guard_ops,
-        "output": args.output,
-    }
     body = {
         "kind": args.kind,
         "i": args.index,
@@ -476,7 +431,7 @@ def cmd_trend(args: argparse.Namespace) -> tuple[str, dict]:
         "points": [{"n": n, "stddev": s} for n, s in points],
     }
     rows = ([str(n), format_float(s)] for n, s in points)
-    return _render(args.output, body, ["n", "stddev"], rows), config
+    return _render(args.output, body, ["n", "stddev"], rows)
 
 
 # ------------------------------------------------------------------- main
@@ -553,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.subcommand == "oracle":
             _select_oracle_inputs(args)
         _resolve_common(args, args.default_output)
-        payload, config = args.handler(args)
+        payload = args.handler(args)
     except InvalidModelError as exc:
         print(f"gramexpect: invalid model: {exc}", file=sys.stderr)
         return 2
@@ -567,15 +522,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gramexpect: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(payload)
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config=config,
-        version=__version__,
-        seed=getattr(args, "seed", None),
-        wall_time_s=round(time.perf_counter() - start, 6),
-        output_sha256=hashlib.sha256(payload.encode("utf-8")).hexdigest(),
-    )
-    print(manifest.to_json(), file=sys.stderr)
+    # The resolved flags are the config: a flag the parser gives a command always reaches it.
+    config = {k: v for k, v in vars(args).items() if k not in ("subcommand", "handler", "default_output", "seed")}
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": config,
+        "version": __version__,
+        "seed": getattr(args, "seed", None),
+        "wall_time_s": round(time.perf_counter() - start, 6),
+        "output_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+    }
+    print(canonical_json(manifest), file=sys.stderr)
     return 0
 
 

@@ -350,7 +350,7 @@ def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...], ...]:
     for kind in kinds:
         if kind == "det":
             # A count never exceeds the trials of its column, column_draws(model).
-            values.append(_char_coefficient_values(rows, max_index, column_draws(model)) if n else ())
+            values.append(_char_coefficient_values(rows, max_index, column_draws(model)))
         elif wick:
             values.append(_perm_coefficient_values(list(zip(*rows)), max_index))
         else:

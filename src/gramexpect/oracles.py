@@ -61,8 +61,8 @@ def _permutation_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _leibniz_sum(matrix: ExactMatrix, max_size: int, what: str, signed: bool) -> Fraction:
-    n = _require_square(matrix, what, max_size)
+def _leibniz_sum(matrix: ExactMatrix, what: str, signed: bool) -> Fraction:
+    n = _require_square(matrix, what, LEIBNIZ_MAX_SIZE)
     entries = matrix.entries
     total = Fraction(0)
     for perm in permutations(range(n)):
@@ -71,14 +71,14 @@ def _leibniz_sum(matrix: ExactMatrix, max_size: int, what: str, signed: bool) ->
     return total
 
 
-def det_expansion(matrix: ExactMatrix, *, max_size: int = LEIBNIZ_MAX_SIZE) -> Fraction:
+def det_expansion(matrix: ExactMatrix) -> Fraction:
     """Signed Leibniz sum over all permutations. Guarded at n! terms."""
-    return _leibniz_sum(matrix, max_size, "det_expansion", signed=True)
+    return _leibniz_sum(matrix, "det_expansion", signed=True)
 
 
-def perm_expansion(matrix: ExactMatrix, *, max_size: int = LEIBNIZ_MAX_SIZE) -> Fraction:
+def perm_expansion(matrix: ExactMatrix) -> Fraction:
     """Unsigned Leibniz sum over all permutations. Guarded at n! terms."""
-    return _leibniz_sum(matrix, max_size, "perm_expansion", signed=False)
+    return _leibniz_sum(matrix, "perm_expansion", signed=False)
 
 
 def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -111,9 +111,9 @@ def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
     return total
 
 
-def perm_ryser(matrix: ExactMatrix, *, max_size: int = RYSER_MAX_SIZE) -> Fraction:
+def perm_ryser(matrix: ExactMatrix) -> Fraction:
     """Exact permanent in O(2^n n) via Ryser's formula with Gray-code subsets."""
-    _require_square(matrix, "perm_ryser", max_size)
+    _require_square(matrix, "perm_ryser", RYSER_MAX_SIZE)
     return _perm_ryser_entries(matrix.entries)
 
 
@@ -147,14 +147,7 @@ def det_bareiss(matrix: ExactMatrix) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
-def brute_force_expectation(
-    dist: DiscreteVectorDistribution,
-    n: int,
-    kind: str,
-    *,
-    tuple_guard: int = TUPLE_GUARD,
-    max_n: int = BRUTE_MAX_N,
-) -> Fraction:
+def brute_force_expectation(dist: DiscreteVectorDistribution, n: int, kind: str) -> Fraction:
     """E(det G_n) or E(perm G_n) by enumerating every ordered atom tuple.
 
     Tuples are ordered with repetition, matching column independence; the
@@ -164,12 +157,12 @@ def brute_force_expectation(
         raise ValueError(f'kind must be "det" or "perm", got {kind!r}')
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > max_n:
-        raise GuardExceeded(f"brute_force_expectation guard: n = {n} exceeds max {max_n}")
+    if n > BRUTE_MAX_N:
+        raise GuardExceeded(f"brute_force_expectation guard: n = {n} exceeds max {BRUTE_MAX_N}")
     k = len(dist.atoms)
-    if k**n > tuple_guard:
+    if k**n > TUPLE_GUARD:
         raise GuardExceeded(
-            f"brute_force_expectation guard: {k}^{n} tuples exceed the budget of {tuple_guard}"
+            f"brute_force_expectation guard: {k}^{n} tuples exceed the budget of {TUPLE_GUARD}"
         )
     # Pairwise atom dot products; each tuple's Gram matrix takes its rows and columns from these.
     dots = gram(ExactMatrix(tuple(v for v, _ in dist.atoms)).transpose())

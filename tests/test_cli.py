@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -143,6 +144,30 @@ class TestExpect:
         proc = run_cli("expect", "--paper", "-N", "2", "--kind", "det", "--output", "json")
         body = json.loads(proc.stdout)
         assert body["values"]["det"][2] == {"n": 2, "exact": "6775/16", "decimal": "423.44"}
+
+    @pytest.mark.parametrize(
+        "kind, route, fn",
+        [
+            ("det", "char", "det_sequence_from_char"),
+            ("det", "egf", "egf_expand_det"),
+            ("perm", "char", "expected_perm_from_char"),
+            ("perm", "egf", "egf_expand_perm"),
+        ],
+    )
+    def test_route_mismatch_exits_1(self, monkeypatch, capsys, kind, route, fn):
+        # One route off by one at n = 3: the recursion cross-check must name it.
+        real = getattr(cli, fn)
+
+        def corrupted(*args):
+            seq = real(*args)
+            return replace(seq, values=(*seq.values[:3], seq.values[3] + 1, *seq.values[4:]))
+
+        monkeypatch.setattr(cli, fn, corrupted)
+        code = cli.main(["expect", "--paper", "-N", "5", "--kind", kind])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        message = f"verification mismatch: {kind} paths disagree: recursion vs {route} first differ at n = 3 ("
+        assert message in captured.err
 
 
 class TestMoments:
@@ -741,24 +766,24 @@ MANIFEST_GOLDEN = {
     "oracle-ryser-csv": "821df77c928efbd83470e388d4a77d5bc3493767217a43760c4f027b731f84d0",
     "oracle-ryser-json": "f8bd71a92dba21bc887e83036dacc6dc64b5d493fc17422344f50ea34173c00d",
     "oracle-ryser-table": "f17ed094cb24e7f5ee148d010466ea1dca443e180762aa85b6ef70660dac49d9",
-    "simulate-atoms-csv": "41cd9514b534f75739e9db4c2335379cb7acad9bf067695d84b1e2a873ce8866",
-    "simulate-atoms-json": "c9966e75341f7c5660c064490d346134097cf7e81836d1cc0b375a3930ca4e57",
-    "simulate-atoms-table": "c6987e67ad6218c98dfaa9805317ee8f648c5f6fdf8df3d5892e823b10247d06",
-    "simulate-both-csv": "f835483469c64ef7655d095b7f357f961e618773877b10a092fbb9bfb1a977e3",
-    "simulate-both-json": "c31fbd6fb012079f3aaa72d6305be949d8957bbe6ebb3c95559f7f820d891c46",
-    "simulate-both-table": "58de9f2ae0b4a3f62ae960828c4782de78feaab12457f2362a3411c9b479fb8e",
-    "simulate-compound-csv": "7a83a3df6c1461ab141f9c50a5f50c18f22dbb5106d14664e799f5c16010082f",
-    "simulate-compound-json": "693b85f802405ecc64b58d73d351a1167cf19ea4754b91f774fb761d238b5431",
-    "simulate-compound-table": "a20f106ac5ef83e38fc75b8a4f7f3b0e5ef770791b22bb3bf0af8d16b9f95bbf",
-    "simulate-max-index0-csv": "ccff59c0ab6421e4915d6adb66fbc10792925d88280c604e4bb46902c0db98f1",
-    "simulate-max-index0-json": "38fb0157cf3823b4cb4c743dfecad672b8f0b3e3ac6f427b162f456dd09a0e16",
-    "simulate-max-index0-table": "ca45a0406eb2e8ab2e28b37b25f15f74e319b814f1c88bdc39f3858a6121122e",
-    "simulate-paper-csv": "c64db722f1a7a0bdedfe108ac23725b1ac7cdce2b17d12976a6eb515e7512c83",
-    "simulate-paper-json": "2bdf104a0c9e44d344f472bf2b2fb12919ee4676cae3e32f4db84100b0e45ca7",
-    "simulate-paper-table": "2bc5525d83a78ec770c89d826691e68f2a3fe92ca5d0b5352e9516829bd1f40f",
-    "simulate-perm-csv": "6bba15ebb948fd37d2f1826c0ad64ec5dd568be0c3f0492416cda69a893c95c9",
-    "simulate-perm-json": "1d39737f4b809aefcecab77deef9db42a34867df4192ea61a78251b7add0f1ef",
-    "simulate-perm-table": "9dd27f567a384a4ac514d168f68ded8d5640753de7ad47c5f247a3edd4cd58d8",
+    "simulate-atoms-csv": "21a436aea307b01b692e6c9212f6de27469c0bc57bb2919bd4220b19435a85ad",
+    "simulate-atoms-json": "42d6f4746e345d176f2f4eee1e94fe7728073945e5b7ec43eeb098d7b66c39e1",
+    "simulate-atoms-table": "5a141ce4b476d9c4129d698cd49aade5d2e0d35a7e76d69bbd4e079d9e6afbc9",
+    "simulate-both-csv": "1992f90ed049ad40ccd433cab16511c7e6119ee59e6bac460e039f4673bc01e8",
+    "simulate-both-json": "bcd1e095448f6d5fcb67b0bac97bed2338dded96b1140b4a14e49317685f24d5",
+    "simulate-both-table": "2043b28a07af35445dc2fd7658ca28b55fc9ee26fda59f64d3b264b609f87c06",
+    "simulate-compound-csv": "edcf6df3b5f20065d70acaf1cceed9c840c64252bc0753442d20ecb2584614d3",
+    "simulate-compound-json": "f6d7e6376d95334ae7e71952b8ff0a866d0529e6d17347975692bf1e512854f6",
+    "simulate-compound-table": "6e381bd7b5b395d4e3fcb7a66faa9d814da8bfd8ee3da1de956970fcc3dcf3e1",
+    "simulate-max-index0-csv": "68e676480a5b01830da1cfa483a6643d6b1dd35144a1bf0e384c608fd4526ad2",
+    "simulate-max-index0-json": "cb67cb4652a4bcc4103d585d54cb8f896d40e825615fe88ae7ca5e7554af4a4e",
+    "simulate-max-index0-table": "c724b949d40ba8b1f6d8dc304f3d8588b411abac749e6f37a2ef08b2c4d09412",
+    "simulate-paper-csv": "2da4f55c4a139fa537608e38bb147758325cec0b5711a420bc1c3a0f0b8df116",
+    "simulate-paper-json": "0f6a1c802865d90542c803f414283c2c2e2afb59afebe5bb33db50a2ce344f42",
+    "simulate-paper-table": "ef80d4d97708dc937f82a24546e209edba008413f6cbb582b72ceb7704416716",
+    "simulate-perm-csv": "03401e101530f9608a4e5356fd3ba3ede00fa80edbbeba02e52f98d0d9323ca9",
+    "simulate-perm-json": "2fda966cbb215436fcfbce2e4b5b6941e706cacd4a1a8f0ed96c6e805da13ee1",
+    "simulate-perm-table": "e7414c6d5b021999e01fc607f6c77f8da6b7171e5cfd7ea490ebb6314b24eafc",
     "traces-atoms-csv": "6c527fd682bc0815e8f37e6f4127dc05e1a01ee63de3131e177418f9320aa443",
     "traces-atoms-json": "b32701d73c1c05977c338ab6ca424b2b29e6988833b5d6386e51b13682a799df",
     "traces-atoms-table": "3639bc08d4fb0b3656dbfa252954ee226960184f6fd6a06a08a8c53c877e4704",
@@ -801,3 +826,26 @@ class TestGoldenOutput:
         manifest = re.sub(r',"wall_time_s":[^,}]*', "", capsys.readouterr().err.splitlines()[-1])
         digest = hashlib.sha256(manifest.encode("utf-8")).hexdigest() if code == 0 else ""
         assert digest == MANIFEST_GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(case for case, (code, _) in GOLDEN.items() if code == 0))
+    def test_replays_from_its_manifest(self, case, files, capsys, tmp_path):
+        cli.main([files.get(arg, arg) for arg in GOLDEN_CASES[case]])
+        manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+        config = manifest["config"]
+        argv = [manifest["subcommand"], *([config.pop("oracle")] if "oracle" in config else [])]
+        for key, value in config.items():
+            if value == "builtin:paper":
+                argv.append("--paper")
+                continue
+            if isinstance(value, dict):
+                path = tmp_path / f"replay-{key}.json"
+                path.write_text(json.dumps(value))
+                value = str(path)
+            elif isinstance(value, list):
+                value = ",".join(map(str, value))
+            argv += [{"n": "-n", "terms": "-N"}.get(key, "--" + key.replace("_", "-")), str(value)]
+        if manifest["seed"] is not None:
+            argv += ["--seed", str(manifest["seed"])]
+        assert cli.main(argv) == 0
+        replayed = capsys.readouterr().out
+        assert hashlib.sha256(replayed.encode("utf-8")).hexdigest() == manifest["output_sha256"]

@@ -360,6 +360,14 @@ class TestReplicateValues:
                 tuple(v / comb(cfg.n, i) for i, v in enumerate(row, start=1)) for row in report.raw[kind]
             )
 
+    @pytest.mark.parametrize("kind", ["det", "perm", "both"])
+    @pytest.mark.parametrize("model", [paper_model(), TWO_ATOMS], ids=["paper", "atoms"])
+    def test_zero_columns_give_empty_replicates(self, model, kind):
+        cfg = SimulationConfig(model, n=0, reps=3, max_index=0, kind=kind, seed=5)
+        report = simulate(cfg)
+        assert report.stats == {k: () for k in cfg.kinds}
+        assert report.raw == {k: ((),) * cfg.reps for k in cfg.kinds}
+
     def test_report_metadata(self):
         cfg = SimulationConfig(TWO_ATOMS, n=3, reps=2, max_index=1, kind="det", seed=5)
         report = simulate(cfg)

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import gramexpect.oracles as oracles
 from gramexpect import (
     DiscreteVectorDistribution,
     ExactMatrix,
@@ -58,22 +59,24 @@ class TestExpansionOracles:
         assert det_expansion(m) == -1
         assert perm_expansion(m) == 1
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(oracles, "LEIBNIZ_MAX_SIZE", 2)
         with pytest.raises(GuardExceeded):
-            det_expansion(ones(3), max_size=2)
+            det_expansion(ones(3))
         with pytest.raises(GuardExceeded):
-            perm_expansion(ones(3), max_size=2)
+            perm_expansion(ones(3))
 
     @pytest.mark.parametrize("expand, at_bound", [(det_expansion, 0), (perm_expansion, 2)], ids=["det", "perm"])
-    def test_guard_names_its_expansion(self, expand, at_bound):
+    def test_guard_names_its_expansion(self, expand, at_bound, monkeypatch):
         name = expand.__name__
-        assert expand(ones(2), max_size=2) == at_bound
-        with pytest.raises(GuardExceeded, match=f"^{name} guard: n = 3 exceeds max size 2$"):
-            expand(ones(3), max_size=2)
         with pytest.raises(GuardExceeded, match=f"^{name} guard: n = 10 exceeds max size 9$"):
             expand(ones(10))
         with pytest.raises(ValueError, match=f"^{name} requires a square matrix, got 1x2$"):
             expand(ExactMatrix.from_rows([[1, 2]]))
+        monkeypatch.setattr(oracles, "LEIBNIZ_MAX_SIZE", 2)
+        assert expand(ones(2)) == at_bound
+        with pytest.raises(GuardExceeded, match=f"^{name} guard: n = 3 exceeds max size 2$"):
+            expand(ones(3))
 
 
 class TestRyser:
@@ -88,9 +91,10 @@ class TestRyser:
             m = random_matrix(rng, n, n, rational=bool(rng.getrandbits(1)))
             assert perm_ryser(m) == perm_expansion(m)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(oracles, "RYSER_MAX_SIZE", 3)
         with pytest.raises(GuardExceeded):
-            perm_ryser(ones(4), max_size=3)
+            perm_ryser(ones(4))
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
@@ -164,12 +168,15 @@ class TestBruteForce:
             assert brute_force_expectation(dist, n, "det") == det_seq[n]
             assert brute_force_expectation(dist, n, "perm") == perm_seq[n]
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         dist = DiscreteVectorDistribution.from_pairs([((1,), "1/2"), ((2,), "1/2")])
+        with monkeypatch.context() as patch:
+            patch.setattr(oracles, "BRUTE_MAX_N", 2)
+            with pytest.raises(GuardExceeded):
+                brute_force_expectation(dist, 3, "det")
+        monkeypatch.setattr(oracles, "TUPLE_GUARD", 10)
         with pytest.raises(GuardExceeded):
-            brute_force_expectation(dist, 3, "det", max_n=2)
-        with pytest.raises(GuardExceeded):
-            brute_force_expectation(dist, 5, "det", tuple_guard=10)
+            brute_force_expectation(dist, 5, "det")
         with pytest.raises(ValueError):
             brute_force_expectation(dist, 2, "minor")
 
