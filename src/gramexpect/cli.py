@@ -27,7 +27,7 @@ from functools import partial
 from typing import Iterable
 
 from . import __version__
-from .matrices import ExactMatrix, gram, matrix_from_json_str, matrix_to_json
+from .matrices import ExactMatrix, matrix_from_json_str, matrix_to_json
 from .models import (
     InvalidModelError,
     Model,
@@ -49,6 +49,7 @@ from .oracles import (
     char_poly_coeffs_of_gram,
     det_bareiss,
     det_expansion,
+    guarded_gram,
     perm_expansion,
     perm_ryser,
     permanental_poly_coeffs,
@@ -288,7 +289,7 @@ ORACLES = {
         ("--matrix", "--max-index", "--guard-ops"),
         lambda matrix, max_index, guard_ops: permanental_poly_coeffs(matrix, max_index, op_budget=guard_ops),
     ),
-    "gram": (("--matrix",), gram),
+    "gram": (("--matrix",), guarded_gram),
     "brute-det": (("--model", "--paper", "-n"), partial(brute_force_expectation, kind="det")),
     "brute-perm": (("--model", "--paper", "-n"), partial(brute_force_expectation, kind="perm")),
 }

@@ -23,9 +23,10 @@ against precomputed integer thresholds ceil(cumprob * 2^64), so replicate
 streams are reproducible bit for bit and independent of float rounding.
 ``sample_columns`` draws the words in blocks and categorises each by its
 top byte, or by an exact ``bisect_right`` on the full word whenever a
-threshold falls inside that byte, so the stream is unchanged; count columns
-are tallied in C by big-integer convolution or ``bytes.count``.
-``sample_rows`` hands convolved counts back as the bytes rows of A.
+threshold falls inside that byte, so the stream is unchanged; it tallies
+each count column in C with ``bytes.count``. ``sample_rows`` alone
+convolves: it tallies multinomial counts by big-integer convolution into
+the bytes rows of A, and ``sample_columns`` is the per-column reference.
 """
 
 from __future__ import annotations
@@ -322,9 +323,6 @@ def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ..
     (a compound column takes one word for ell, then ell trial words).
     Extra memory is O(block + n t) however long a column is.
     """
-    rows = _convolved_rows(model, n, rng)
-    if rows is not None:
-        return list(zip(*rows))
     if isinstance(model, DiscreteVectorDistribution):
         vectors = [vec for vec, _ in model.atoms]
         draws = (model._sampler.categories(rng, k) for k in _chunks(n, _BLOCK))

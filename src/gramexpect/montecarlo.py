@@ -11,8 +11,8 @@ Two contracts shape the implementation:
   of the n x n Gram matrix A^T A equals that of the t x t matrix A A^T, so
   power sums of the small matrix plus Newton's identities give every b_i,
   including exact zeros past the rank. The d_i are computed exactly from
-  the t-dimensional columns too, by a Wick expansion whose cost is linear
-  in n at fixed t and max_index. No floating-point fallback exists, and
+  the t rows of A too, by a Wick expansion whose cost is linear in n at
+  fixed t and max_index. No floating-point fallback exists, and
   the report's mode field says so.
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
@@ -22,6 +22,7 @@ Two contracts shape the implementation:
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -131,28 +132,29 @@ class SimulationReport:
         return tuple(tuple(v / c for v, c in zip(row, scales)) for row in self.raw[kind])
 
 
-def _gram_entries(columns: list[tuple]) -> ExactMatrix:
-    """The Gram matrix of the columns, by ``matrices.gram``."""
-    return gram(ExactMatrix.from_rows(zip(*columns)))
+def _gram_entries(rows: list) -> ExactMatrix:
+    """The Gram matrix A^T A of the rows of A, by ``matrices.gram``."""
+    return gram(ExactMatrix.from_rows(rows))
 
 
 # W from count rows below 16: each count's square, and the product of the
 # two counts packed in a byte as (x << 4) + y.
+_BELOW_16 = bytes(range(16))
 _SQUARE = bytes(b * b for b in range(16)) + bytes(240)
 _PRODUCT = bytes((b >> 4) * (b & 15) for b in range(256))
 
 
-def _row_gram(rows: list, max_count: int = 255) -> list[list[int]]:
+def _row_gram(rows: list) -> list[list[int]]:
     """W = A A^T of integer rows, one entry of its upper triangle at a time.
 
-    Bytes rows whose entries are at most ``max_count`` < 16 use the byte
-    tables: W_ii sums row i's squares, and W_ij the byte products of
-    (row_i << 4) + row_j, in which no byte carries. Other rows take
-    ``sum(map(mul))``.
+    Bytes rows whose counts are all below 16 use the byte tables: W_ii sums
+    row i's squares, and W_ij the byte products of (row_i << 4) + row_j, in
+    which no byte carries. Other rows take ``sum(map(mul))``.
     """
     t = len(rows)
     w = [[0] * t for _ in range(t)]
-    if isinstance(rows[0], bytes) and max_count < 16:
+    # Deleting the counts below 16 leaves a row empty exactly when the tables apply.
+    if isinstance(rows[0], bytes) and not any(row.translate(None, _BELOW_16) for row in rows):
         n, ints = len(rows[0]), [int.from_bytes(row, "little") for row in rows]
         for i in range(t):
             w[i][i] = sum(rows[i].translate(_SQUARE))
@@ -165,19 +167,18 @@ def _row_gram(rows: list, max_count: int = 255) -> list[list[int]]:
     return w
 
 
-def _char_coefficient_values(rows: list, max_index: int, max_count: int = 255) -> tuple[Fraction, ...]:
+def _char_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]:
     """b_1..b_max_index of the Gram matrix of A, exactly, at any n, from the rows of A.
 
     Works on W = A A^T (t x t, t the column dimension): its power sums equal
     those of the Gram matrix, and elementary symmetric functions of a
     spectrum ignore extra zero eigenvalues, so e_k(G) = e_k(W) for k up to
     n, with e_k(W) = 0 past the rank. Cost is O(t^2 n + t^3 max_index).
-    Count rows are ints or bytes (``max_count`` bounds their entries); atom
-    rows are Fractions and are scaled by the lcm D of their denominators, so
-    W is an integer matrix (``_row_gram``). The power sums need only W^k up
-    to k = ceil(m/2), as tr(W^(2k)) = <W^k, W^k> and
-    tr(W^(2k+1)) = <W^k, W^(k+1)>; they and Newton's identities run in
-    ints, and e_k is divided by D^(2k) once at the end.
+    Count rows are ints or bytes; atom rows are Fractions and are scaled by
+    the lcm D of their denominators, so W is an integer matrix
+    (``_row_gram``). The power sums need only W^k up to k = ceil(m/2), as
+    tr(W^(2k)) = <W^k, W^k> and tr(W^(2k+1)) = <W^k, W^(k+1)>; they and
+    Newton's identities run in ints, and e_k is divided by D^(2k) once.
     """
     if max_index == 0:
         return ()
@@ -185,7 +186,7 @@ def _char_coefficient_values(rows: list, max_index: int, max_count: int = 255) -
     if isinstance(rows[0][0], Fraction):
         scale = lcm(*(x.denominator for row in rows for x in row))
         rows = [[int(x * scale) for x in row] for row in rows]
-    w = _row_gram(rows, max_count)
+    w = _row_gram(rows)
     t = len(w)
     # powers[k] is W^k from W^0 = I, so tr(W) = <W^0, W^1> takes the same formula.
     powers = [[[int(i == j) for j in range(t)] for i in range(t)], w]
@@ -273,8 +274,8 @@ def _times_pair(poly: dict, terms: list[tuple[int, int]]) -> dict:
     return out
 
 
-def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Fraction, ...]:
-    """d_1..d_max_index of gram(columns), exactly, without forming the Gram matrix.
+def _perm_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]:
+    """d_1..d_max_index of the Gram matrix of A, exactly, from the rows of A, without forming it.
 
     d_i sums perm over the i x i principal submatrices of G = A^T A. With
     l_j(u) = sum_k a_kj u_k for column j and the linear functional
@@ -295,8 +296,8 @@ def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
     if max_index == 0:
         return ()
     base = max_index + 1
-    scale = lcm(*(x.denominator for column in columns for x in column))
-    units = [base**k for k in range(len(columns[0]))]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    units = [base**k for k in range(len(rows))]
     pairing: dict[int, int] = {}
 
     def mu_factorial(mu: int) -> int:
@@ -310,7 +311,7 @@ def _perm_coefficient_values(columns: list[tuple], max_index: int) -> tuple[Frac
 
     levels: list[dict] = [{0: {0: 1}}] + [{} for _ in range(1, max_index)]
     top = 0
-    for column, count in Counter(columns).items():
+    for column, count in Counter(zip(*rows)).items():
         terms = [(unit, int(a * scale)) for unit, a in zip(units, column) if a]
         if not terms:
             continue
@@ -349,13 +350,11 @@ def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...], ...]:
     values = []
     for kind in kinds:
         if kind == "det":
-            # A count never exceeds the trials of its column, column_draws(model).
-            values.append(_char_coefficient_values(rows, max_index, column_draws(model)))
+            values.append(_char_coefficient_values(rows, max_index))
         elif wick:
-            values.append(_perm_coefficient_values(list(zip(*rows)), max_index))
+            values.append(_perm_coefficient_values(rows, max_index))
         else:
-            g = _gram_entries(list(zip(*rows)))
-            values.append(permanental_poly_coeffs(g, max_index, op_budget=op_budget)[1:])
+            values.append(permanental_poly_coeffs(_gram_entries(rows), max_index, op_budget=op_budget)[1:])
     return tuple(values)
 
 
@@ -389,8 +388,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
 
     The permanental path and its op budget are settled by ``perm_by_wick``
     before any sampling starts, so a doomed run fails immediately.
-    ``threads`` > 1 fans replicates out to worker processes; the report is
-    identical either way.
+    ``threads`` > 1 fans replicates out to worker processes, at most one
+    per replicate and per CPU; the report is identical either way.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -400,13 +399,14 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
         (config.model, config.n, config.max_index, kinds, wick, op_budget, derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
-    if threads == 1:
+    workers = min(threads, config.reps, os.cpu_count() or 1)
+    if workers == 1:
         results = [_replicate_worker(item) for item in work]
     else:
-        chunk = max(1, config.reps // (threads * 4))
+        chunk = max(1, config.reps // (workers * 4))
         from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, work, chunksize=chunk))
 
     traces = traces_by_power(moment_matrix(config.model), config.max_index)

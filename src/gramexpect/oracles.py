@@ -23,6 +23,8 @@ RYSER_MAX_SIZE = 28
 # at these bounds (2-core Xeon, CPython 3.11).
 BAREISS_MAX_SIZE = 100
 CHARPOLY_MAX_SIZE = 32
+# t n^2 Fraction products for a t x n matrix: about 5 s at 100x100 on the same entries.
+GRAM_MAX_SIZE = 100
 TUPLE_GUARD = 10**6
 BRUTE_MAX_N = 8
 OP_BUDGET = 10**7
@@ -216,6 +218,14 @@ def permanental_poly_coeffs(
             total += _perm_ryser_entries(sub)
         coeffs.append(total)
     return tuple(coeffs)
+
+
+def guarded_gram(matrix: ExactMatrix) -> ExactMatrix:
+    """``matrices.gram`` of a matrix refused, before any product, past GRAM_MAX_SIZE rows or columns."""
+    size = max(matrix.rows, matrix.cols)
+    if size > GRAM_MAX_SIZE:
+        raise GuardExceeded(f"gram guard: n = {size} exceeds max size {GRAM_MAX_SIZE}")
+    return gram(matrix)
 
 
 def char_poly_coeffs_of_gram(gram_matrix: ExactMatrix) -> tuple[Fraction, ...]:

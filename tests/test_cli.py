@@ -273,7 +273,12 @@ class TestOracleCommand:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize(
-        "name, bound", [("bareiss", oracles.BAREISS_MAX_SIZE), ("charpoly", oracles.CHARPOLY_MAX_SIZE)]
+        "name, bound",
+        [
+            ("bareiss", oracles.BAREISS_MAX_SIZE),
+            ("charpoly", oracles.CHARPOLY_MAX_SIZE),
+            ("gram", oracles.GRAM_MAX_SIZE),
+        ],
     )
     def test_elimination_oracle_past_its_bound_exits_3(self, tmp_path, capsys, name, bound):
         rng = Random(bound)
@@ -288,6 +293,26 @@ class TestOracleCommand:
         assert (code, captured.out) == (3, "")
         assert f"guard: n = {size} exceeds max size {bound}" in captured.err
         assert elapsed < 1.0
+
+    @staticmethod
+    def run_gram(tmp_path, rows, cols):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"rows": [[str(i + j) for j in range(cols)] for i in range(rows)]}))
+        return cli.main(["oracle", "gram", "--matrix", str(path), "--output", "json"])
+
+    @pytest.mark.parametrize("rows, cols", [(1, 100), (100, 1)])
+    def test_gram_oracle_at_its_bound_runs(self, tmp_path, capsys, rows, cols):
+        assert self.run_gram(tmp_path, rows, cols) == 0
+        g = json.loads(capsys.readouterr().out)["rows"]
+        assert (len(g), len(g[0])) == (cols, cols)
+        assert g[-1][-1] == str(sum((i + cols - 1) ** 2 for i in range(rows)))
+
+    @pytest.mark.parametrize("rows, cols", [(1, 101), (101, 1)])
+    def test_gram_oracle_refuses_rows_or_columns_past_its_bound(self, tmp_path, capsys, rows, cols):
+        assert self.run_gram(tmp_path, rows, cols) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"gram guard: n = 101 exceeds max size {oracles.GRAM_MAX_SIZE}" in captured.err
 
     def test_malformed_matrix_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from gramexpect import (
     moment_matrix,
     paper_model,
 )
+from gramexpect import models
 from gramexpect.models import (
     CategoricalSampler,
     MomentMatrix,
@@ -398,7 +399,19 @@ class TestSampleColumns:
             ells = data.draw(st.lists(st.integers(0, 70), min_size=1, max_size=4, unique=True))
             model = CompoundCountModel(probs=probs, ell_law=tuple((e, F(1, len(ells))) for e in ells))
         n = data.draw(st.integers(0, 30))
-        _assert_stream_identical(model, n, data.draw(st.integers(0, 2**64 - 1)))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        _assert_stream_identical(model, n, seed)
+        # sample_rows convolves multinomial counts; the per-draw loop is its reference too.
+        rows = sample_rows(model, n, Random(seed))
+        assert [tuple(row) for row in rows] == list(zip(*_reference_columns(model, n, Random(seed))))
+
+    def test_counts_columns_without_the_convolution(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sample_columns must not convolve")
+
+        monkeypatch.setattr(models, "_convolved_rows", refuse)
+        model = MultinomialCountModel(ell=10, probs=_NON_DYADIC)
+        assert sample_columns(model, 30, Random(5)) == _reference_columns(model, 30, Random(5))
 
     def test_model_keeps_its_sampler_through_pickling(self):
         model = MultinomialCountModel(ell=10, probs=_NON_DYADIC)

@@ -1,3 +1,5 @@
+import concurrent.futures
+import os
 from fractions import Fraction
 from math import comb, sqrt
 from operator import mul
@@ -20,11 +22,11 @@ from gramexpect import (
     stddev_trend,
     traces_by_power,
 )
+from gramexpect import montecarlo
 from gramexpect.matrices import ExactMatrix, gram
 from gramexpect.models import (
     CompoundCountModel,
     MultinomialCountModel,
-    column_draws,
     sample_columns,
     sample_rows,
     sample_vector,
@@ -107,15 +109,15 @@ def ryser_coefficients(columns, max_index):
 
 
 def assert_matches_ryser(columns, max_index):
-    values = _perm_coefficient_values(columns, max_index)
+    values = _perm_coefficient_values(list(zip(*columns)), max_index)
     assert values == ryser_coefficients(columns, max_index)
     assert all(type(v) is Fraction for v in values)
 
 
-def assert_matches_char_poly(columns, max_index, max_count=255):
+def assert_matches_char_poly(rows, max_index):
     """The integer det replicate, fed the rows of A, against Leverrier on the n x n Gram matrix (oracles.py)."""
-    values = _char_coefficient_values(list(zip(*columns)), max_index, max_count)
-    coeffs = char_poly_coeffs_of_gram(gram(ExactMatrix.from_rows(zip(*columns))))
+    values = _char_coefficient_values(rows, max_index)
+    coeffs = char_poly_coeffs_of_gram(gram(ExactMatrix.from_rows(rows)))
     coeffs += (F(0),) * (max_index + 1 - len(coeffs))
     assert values == coeffs[1 : max_index + 1]
     assert all(type(v) is Fraction for v in values)
@@ -128,7 +130,7 @@ class TestCharCoefficientValues:
             dist = random_atoms_distribution(rng, rng.randint(1, 4), rng.randint(1, 3))
             n = rng.randint(1, 7)
             columns = [sample_vector(dist, rng) for _ in range(n)]
-            assert_matches_char_poly(columns, rng.randint(1, n))
+            assert_matches_char_poly(list(zip(*columns)), rng.randint(1, n))
 
     def test_rational_columns_with_mixed_denominators(self):
         rng = Random(13)
@@ -138,13 +140,13 @@ class TestCharCoefficientValues:
                 tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3, 6, 7))) for _ in range(t))
                 for _ in range(n)
             ]
-            assert_matches_char_poly(columns, n)
+            assert_matches_char_poly(list(zip(*columns)), n)
 
     def test_count_columns_past_the_rank(self):
         rng = Random(14)
         columns = [sample_vector(paper_model(), rng) for _ in range(9)]
-        assert_matches_char_poly(columns, 9)  # b_5..b_9 vanish: rank <= t = 4
-        assert_matches_char_poly([(0, 0, 0)] * 3 + [(1, 2, 3)], 4)
+        assert_matches_char_poly(list(zip(*columns)), 9)  # b_5..b_9 vanish: rank <= t = 4
+        assert_matches_char_poly([(0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3)], 4)
 
     def test_max_index_zero(self):
         assert _char_coefficient_values([(F(1, 2),), (F(3),)], 0) == ()
@@ -158,17 +160,17 @@ class TestCharCoefficientValues:
         n = 9
         rows = [bytes(rng.choice((0, top, rng.randint(0, top))) for _ in range(n)) for _ in range(4)]
         rows[1] = bytes([top] * n)
-        assert_matches_char_poly(list(zip(*rows)), max_index, top)
+        assert_matches_char_poly(rows, max_index)
         # Rank-deficient: a repeated row and a zero row leave rank 2.
         rows[2], rows[3] = rows[0], bytes(n)
-        assert_matches_char_poly(list(zip(*rows)), max_index, top)
+        assert_matches_char_poly(rows, max_index)
 
     @pytest.mark.parametrize("ell", [1, 10, 15, 16, 40])
     def test_sampled_byte_rows(self, ell):
         model = MultinomialCountModel(ell=ell, probs=(F(3, 8), F(1, 4), F(1, 4), F(1, 8)))
         rows = sample_rows(model, 9, Random(ell))
         assert all(isinstance(row, bytes) for row in rows)
-        assert_matches_char_poly(list(zip(*rows)), 7, column_draws(model))
+        assert_matches_char_poly(rows, 7)
 
 
 class TestRowGram:
@@ -182,15 +184,26 @@ class TestRowGram:
         for t, n in ((1, 1), (2, 3), (4, 400), (5, 1000)):
             rows = [bytes(rng.randint(0, top) for _ in range(n)) for _ in range(t)]
             rows[0] = bytes([top] * n)  # (15 << 4) + 15 = 255: the widest packed byte
-            w = _row_gram(rows, top)
+            w = _row_gram(rows)
             assert w == self.dot_products(rows) == _row_gram([tuple(row) for row in rows])
             assert all(type(x) is int for row in w for x in row)
 
     def test_counts_of_16_need_the_dot_products(self):
         rows = [bytes([16, 3, 0]), bytes([16, 1, 15])]
-        assert _row_gram(rows, 16) == self.dot_products(rows) == [[265, 259], [259, 482]]
-        # The tables are exact only below 16: packing 16 carries into the next byte.
-        assert _row_gram(rows, 15) != self.dot_products(rows)
+        assert _row_gram(rows) == self.dot_products(rows) == [[265, 259], [259, 482]]
+
+    def test_the_tables_run_exactly_when_every_count_is_below_16(self, monkeypatch):
+        below = [bytes([15, 3, 0]), bytes([1, 1, 15])]
+        # ell = 20 trials, yet every count of these rows stays below 16.
+        sampled = sample_rows(MultinomialCountModel(ell=20, probs=(F(1, 4),) * 4), 9, Random(3))
+        assert max(map(max, sampled)) < 16
+        holding_16 = [bytes([16, 3, 0]), bytes([1, 1, 15])]
+        as_tuples = [tuple(row) for row in below]
+        cases = [below, sampled, holding_16, as_tuples]
+        expected = [self.dot_products(rows) for rows in cases]
+        # A zeroed product table zeroes every W_ij that the tables build.
+        monkeypatch.setattr(montecarlo, "_PRODUCT", bytes(256))
+        assert [_row_gram(rows) == w for rows, w in zip(cases, expected)] == [False, False, True, True]
 
 
 class TestPermCoefficientValues:
@@ -224,7 +237,7 @@ class TestPermCoefficientValues:
         assert_matches_ryser([(2, -1)] * 7, 7)
 
     def test_edge_shapes(self):
-        assert _perm_coefficient_values([(3, 4)], 0) == ()
+        assert _perm_coefficient_values([(3,), (4,)], 0) == ()
         assert_matches_ryser([(3, 4)], 1)
         assert_matches_ryser([(1, -2), (3, 1), (0, 2)], 3)
         # Fewer columns than dimensions.
@@ -345,7 +358,7 @@ class TestReplicateValues:
         report = simulate(cfg)
         for r, row in enumerate(report.raw["perm"]):
             columns = sample_columns(model, cfg.n, Random(derive_seed(cfg.seed, r)))
-            assert row == _perm_coefficient_values(columns, cfg.max_index)
+            assert row == _perm_coefficient_values(list(zip(*columns)), cfg.max_index)
 
     def test_raw_values_and_their_normalization(self):
         cfg = SimulationConfig(paper_model(), n=5, reps=3, max_index=3, kind="both", seed=21)
@@ -462,6 +475,39 @@ class TestParallelism:
     def test_thread_count_never_changes_the_report(self):
         cfg = SimulationConfig(paper_model(), n=10, reps=12, max_index=4, kind="both", seed=628)
         assert simulate(cfg, threads=1) == simulate(cfg, threads=2)
+
+    @pytest.mark.parametrize(
+        "threads, reps, cpus, pool",
+        [
+            (10**6, 6, 4, [(4, 1)]),
+            (10**6, 3, 64, [(3, 1)]),
+            (2, 100, 2, [(2, 12)]),  # simulate-det-par's pool
+            (10**6, 5, 1, []),  # one worker runs in this process
+        ],
+    )
+    def test_the_pool_never_outgrows_the_replicates_or_the_cpus(self, monkeypatch, threads, reps, cpus, pool):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items, chunksize):
+                requested.append((self.max_workers, chunksize))
+                return map(fn, items)
+
+        cfg = SimulationConfig(paper_model(), n=5, reps=reps, max_index=2, kind="both", seed=reps)
+        single = simulate(cfg, threads=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert simulate(cfg, threads=threads) == single
+        assert requested == pool
 
     def test_thread_validation(self):
         cfg = SimulationConfig(TWO_ATOMS, n=2, reps=1, max_index=1, kind="det", seed=0)
