@@ -10,10 +10,10 @@ Two contracts shape the implementation:
 * Exactness. The b_i are computed exactly at any n: the nonzero spectrum
   of the n x n Gram matrix A^T A equals that of the t x t matrix A A^T, so
   power sums of the small matrix plus Newton's identities give every b_i,
-  including exact zeros past the rank. The d_i are computed exactly from
-  the t rows of A too, by a Wick expansion whose cost is linear in n at
-  fixed t and max_index. No floating-point fallback exists, and
-  the report's mode field says so.
+  including exact zeros past the rank. The d_i come from the t rows of A
+  too, by a Wick expansion kept as one row-sparse matrix per degree over
+  that degree's monomials, at a cost linear in n at fixed t and max_index.
+  No floating-point fallback exists, and the report's mode field says so.
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
   results in index order. Reports are therefore byte-identical no matter
@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from fractions import Fraction
-from itertools import chain
-from math import comb, factorial, lcm, sqrt
-from operator import mul
+from itertools import accumulate, chain
+from math import comb, factorial, lcm, prod, sqrt
+from operator import add, mul
 from random import Random
 
 # sample_vector is no longer called here but stays importable from this module.
@@ -218,17 +220,13 @@ def check_sampling_draws(model: Model, n: int, op_budget: int) -> None:
 def perm_coefficient_op_cost(n: int, t: int, max_index: int) -> list[int]:
     """Cumulative cost per index of the Wick expansion below.
 
-    Multiplying a stored degree-k polynomial, at most C(k+t-1, t-1)^2
-    terms, by l(u) l(v) takes about t^2 operations per term, and only the
-    n - k columns after the first k meet a nonempty degree-k level, so
-    cost_i = t^2 sum_{k<i} (n - k) C(k+t-1, t-1)^2.
+    Each degree-k level holds at most C(k+t-1, t-1)^2 coefficients, a
+    column costs about t^2 operations per coefficient, and only the n - k
+    columns after the first k meet a nonempty degree-k level, so
+    cost_i = t^2 sum_{k<i} (n - k) C(k+t-1, t-1)^2. It bounds the kernel's
+    multiply-adds for t >= 3 and undercounts them by up to 2x at t <= 2.
     """
-    costs = []
-    running = 0
-    for k in range(max_index):
-        running += (n - k) * t * t * comb(k + t - 1, t - 1) ** 2
-        costs.append(running)
-    return costs
+    return list(accumulate((n - k) * t * t * comb(k + t - 1, t - 1) ** 2 for k in range(max_index)))
 
 
 def perm_by_wick(n: int, t: int, max_index: int, op_budget: int) -> bool:
@@ -252,26 +250,27 @@ def perm_by_wick(n: int, t: int, max_index: int, op_budget: int) -> bool:
     )
 
 
-def _times_l_v(row: dict[int, int], terms: list[tuple[int, int]]) -> dict[int, int]:
-    """Multiply a polynomial in v by l(v) = sum_k a_k v_k."""
-    out: dict[int, int] = {}
-    for nu, coeff in row.items():
-        for unit, a in terms:
-            key = nu + unit
-            out[key] = out.get(key, 0) + a * coeff
-    return out
+@lru_cache(maxsize=None)
+def _monomial_tables(t: int, max_index: int) -> tuple[list, list, list]:
+    """Monomials in t variables of degree 0..max_index, each indexed within its degree.
 
-
-def _times_pair(poly: dict, terms: list[tuple[int, int]]) -> dict:
-    """l(u) l(v) poly for poly stored as {mu: {nu: coeff}}."""
-    out: dict = {}
-    for mu, row in poly.items():
-        row = _times_l_v(row, terms)
-        for unit, a in terms:
-            target = out.setdefault(mu + unit, {})
-            for nu, coeff in row.items():
-                target[nu] = target.get(nu, 0) + a * coeff
-    return out
+    ``successors[k][p][a]`` indexes monomial p of degree k times u_a,
+    ``predecessors[q]`` lists the (p, a) with p u_a = q for q of the top
+    degree, and ``weights[k][q]`` is q!.
+    """
+    monomials, successors = [[(0,) * t]], []
+    for _ in range(max_index):
+        index: dict[tuple, int] = {}
+        successors.append([
+            [index.setdefault(p[:a] + (p[a] + 1,) + p[a + 1 :], len(index)) for a in range(t)]
+            for p in monomials[-1]
+        ])
+        monomials.append(list(index))
+    predecessors: list[list[tuple[int, int]]] = [[] for _ in monomials[-1]]
+    for p, row in enumerate(successors[-1]):
+        for a, q in enumerate(row):
+            predecessors[q].append((p, a))
+    return successors, predecessors, [[prod(map(factorial, q)) for q in level] for level in monomials]
 
 
 def _perm_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]:
@@ -283,63 +282,74 @@ def _perm_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]
 
         sum_i d_i x^i = L(prod_j (1 + x l_j(u) l_j(v))).
 
-    The product is kept truncated at degree max_index, one polynomial per
-    degree k, bihomogeneous of degree (k, k), stored as {mu: {nu: coeff}}
-    with each exponent vector packed into an int of base max_index + 1
-    digits, so adding a unit exponent is integer addition. Repeated
-    columns are grouped and enter as (1 + x l(u) l(v))^c. Only the diagonal
-    mu = nu of the top degree is ever paired, so it goes straight into
-    d_max_index and is never stored. Columns are scaled by the lcm D of
-    their denominators so every coefficient is an int, and d_i is divided
-    by D^(2i) at the end. Cost: ``perm_coefficient_op_cost``.
+    The product is truncated at degree max_index. Level k holds the
+    coefficients M_k[p][p'] of u^p v^p' (p, p' indexed by
+    ``_monomial_tables``) as a dict of its nonzero rows, each a dense int
+    list. A column x maps M_k to T M_k T^T, T the successor table weighted
+    by x: each row moves through T, skipping zeros, and is scattered into t
+    rows. Repeated columns are grouped and enter as (1 + x l(u) l(v))^c.
+    The top degree is never formed: d_max_index gains sum_q q! sum over
+    (p, a), (p', b) in pred(q) of x_a x_b M[p][p']. Columns are scaled by
+    the lcm D of their denominators so every coefficient is an int, and
+    d_i is divided by D^(2i) at the end. Cost: ``perm_coefficient_op_cost``.
     """
     if max_index == 0:
         return ()
-    base = max_index + 1
     scale = lcm(*(x.denominator for row in rows for x in row))
-    units = [base**k for k in range(len(rows))]
-    pairing: dict[int, int] = {}
-
-    def mu_factorial(mu: int) -> int:
-        if mu not in pairing:
-            value, digits = 1, mu
-            while digits:
-                digits, exponent = divmod(digits, base)
-                value *= factorial(exponent)
-            pairing[mu] = value
-        return pairing[mu]
-
-    levels: list[dict] = [{0: {0: 1}}] + [{} for _ in range(1, max_index)]
+    successors, predecessors, weights = _monomial_tables(len(rows), max_index)
+    levels: list[dict[int, list[int]]] = [{0: [1]}] + [{} for _ in range(1, max_index)]
     top = 0
     for column, count in Counter(zip(*rows)).items():
-        terms = [(unit, int(a * scale)) for unit, a in zip(units, column) if a]
+        xs = [int(x * scale) for x in column]
+        terms = [(a, x) for a, x in enumerate(xs) if x]
         if not terms:
             continue
         # Highest source degree first: a chain from degree s writes only to
         # degrees above s, which have already been read as sources.
         for source in range(max_index - 1, -1, -1):
-            poly = levels[source]
-            for k in range(1, min(count, max_index - source) + 1):
-                weight = comb(count, k)
-                if source + k == max_index:
-                    for mu, row in poly.items():
-                        row = _times_l_v(row, terms)
-                        for unit, a in terms:
-                            coeff = row.get(mu + unit)
-                            if coeff:
-                                top += weight * a * coeff * mu_factorial(mu + unit)
+            poly, steps = levels[source], min(count, max_index - source)
+            if not poly:
+                continue
+            for k in range(1, steps + 1):
+                weight, degree = comb(count, k), source + k
+                if degree == max_index:
+                    for q, pairs in enumerate(predecessors):
+                        pair_sum = 0
+                        for p, a in pairs:
+                            row = poly.get(p)
+                            if xs[a] and row:
+                                for p2, b in pairs:
+                                    pair_sum += xs[a] * xs[b] * row[p2]
+                        top += weight * weights[-1][q] * pair_sum
                     break
-                poly = _times_pair(poly, terms)
-                level = levels[source + k]
-                for mu, row in poly.items():
-                    target = level.setdefault(mu, {})
-                    for nu, coeff in row.items():
-                        target[nu] = target.get(nu, 0) + weight * coeff
-    values = [
-        sum(mu_factorial(mu) * row.get(mu, 0) for mu, row in levels[i].items())
-        for i in range(1, max_index)
-    ]
-    values.append(top)
+                # Below the top, a chain's last step is k = count, of weight 1,
+                # so it writes into its level directly.
+                last = k == steps
+                target: dict[int, list[int]] = levels[degree] if last else {}
+                succ, size = successors[degree - 1], len(weights[degree])
+                for p, row in poly.items():
+                    moved = [0] * size
+                    for p2, value in enumerate(row):
+                        if value:
+                            to = succ[p2]
+                            for b, x in terms:
+                                moved[to[b]] += x * value
+                    nonzero = [(j, value) for j, value in enumerate(moved) if value]
+                    to = succ[p]
+                    for a, x in terms:
+                        out = target.get(to[a])
+                        if out is None:
+                            target[to[a]] = [x * value for value in moved]
+                        else:
+                            for j, value in nonzero:
+                                out[j] += x * value
+                if not last:
+                    level = levels[degree]
+                    for q, row in target.items():
+                        row = map(weight.__mul__, row)
+                        level[q] = list(map(add, level[q], row)) if q in level else list(row)
+                poly = target
+    values = [sum(weights[i][q] * row[q] for q, row in levels[i].items()) for i in range(1, max_index)] + [top]
     return tuple(Fraction(v, scale ** (2 * i)) for i, v in enumerate(values, start=1))
 
 
@@ -383,6 +393,20 @@ def _aggregate(
     return tuple(stats)
 
 
+@contextmanager
+def _replicate_map(threads: int, reps: int) -> Iterator[Callable]:
+    """A map over replicates: worker processes, at most one per replicate and per CPU, or this process alone."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers == 1:
+        yield map
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield partial(pool.map, chunksize=max(1, reps // (workers * 4)))
+
+
 def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_BUDGET) -> SimulationReport:
     """Run the replicates and aggregate coefficient statistics.
 
@@ -391,23 +415,19 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
     ``threads`` > 1 fans replicates out to worker processes, at most one
     per replicate and per CPU; the report is identical either way.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    with _replicate_map(threads, config.reps) as replicates:
+        return _simulate(config, op_budget, replicates)
+
+
+def _simulate(config: SimulationConfig, op_budget: int, replicates: Callable) -> SimulationReport:
+    """``simulate`` with the replicates run by ``replicates(_replicate_worker, work)``."""
     kinds = config.kinds
     wick = "perm" not in kinds or perm_by_wick(config.n, config.model.t, config.max_index, op_budget)
     work = [
         (config.model, config.n, config.max_index, kinds, wick, op_budget, derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
-    workers = min(threads, config.reps, os.cpu_count() or 1)
-    if workers == 1:
-        results = [_replicate_worker(item) for item in work]
-    else:
-        chunk = max(1, config.reps // (workers * 4))
-        from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, work, chunksize=chunk))
+    results = list(replicates(_replicate_worker, work))
 
     traces = traces_by_power(moment_matrix(config.model), config.max_index)
     recursions = {"det": expected_det_recursion, "perm": expected_perm_recursion}
@@ -441,10 +461,10 @@ def stddev_trend(
 ) -> list[tuple[int, float]]:
     """Normalized stddev of coefficient ``index`` across increasing n.
 
-    One simulate run per n, each on its own derived seed stream. ``kind``
-    must be det or perm; a combined trajectory has no meaning here. Every
-    n is validated, and a permanental run costed at its largest n, before
-    the first point is computed.
+    One simulate run per n, each on its own derived seed stream, all on one
+    pool of workers. ``kind`` must be det or perm; a combined trajectory
+    has no meaning here. Every n is validated, and a permanental run costed
+    at its largest n, before the first point is computed.
     """
     if kind not in ("det", "perm"):
         raise ValueError(f'trend kind must be "det" or "perm", got {kind!r}')
@@ -465,7 +485,9 @@ def stddev_trend(
         # refuses, before any work, exactly the runs a later point would.
         perm_by_wick(n_list[-1], model.t, index, op_budget)
     points = []
-    for config in configs:
-        report = simulate(config, threads=threads, op_budget=op_budget)
-        points.append((config.n, report.stats_for(kind)[index - 1].normalized_stddev))
+    # One pool serves every point: each has the same reps, so the same workers and chunks.
+    with _replicate_map(threads, reps) as replicates:
+        for config in configs:
+            report = _simulate(config, op_budget, replicates)
+            points.append((config.n, report.stats_for(kind)[index - 1].normalized_stddev))
     return points

@@ -244,14 +244,27 @@ class TestPermCoefficientValues:
         assert_matches_ryser([(1, 2, 3, 4, 5), (-1, 0, 2, F(1, 3), 1)], 2)
         assert_matches_ryser([(0, 0)] * 3, 3)
 
-    @settings(max_examples=60, deadline=None)
+    def test_six_dimensions_past_the_wick_estimate(self):
+        # t = 6, n = 8, i = 6: the shape where the Wick and Ryser costs meet.
+        for seed in range(2):
+            rng = Random(seed)
+            assert_matches_ryser([tuple(rng.randint(0, 3) for _ in range(6)) for _ in range(8)], 6)
+
+    def test_frozen_paper_replicate_at_n_400(self):
+        # Out of Ryser's reach; frozen from the dict-of-dicts expansion this kernel replaced.
+        rows = sample_rows(paper_model(), 400, Random(derive_seed(0, 0)))
+        assert _perm_coefficient_values(rows, 4) == (14288, 168349176, 1922018074248, 21795016344773464)
+
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_ryser_property(self, data):
-        t = data.draw(st.integers(1, 3), label="t")
+        t = data.draw(st.integers(1, 5), label="t")
         n = data.draw(st.integers(1, 6), label="n")
         max_index = data.draw(st.integers(0, n), label="max_index")
         entry = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
-        column = st.tuples(*[entry] * t)
+        # A pool of at most four columns, one of them zero, so repeats and zero columns occur.
+        pool = data.draw(st.lists(st.tuples(*[entry] * t), min_size=1, max_size=3), label="pool")
+        column = st.sampled_from(pool + [(0,) * t])
         columns = data.draw(st.lists(column, min_size=n, max_size=n), label="columns")
         assert_matches_ryser(columns, max_index)
 
@@ -593,6 +606,21 @@ class TestTrend:
             SimulationConfig(TWO_ATOMS, n=8, reps=6, max_index=2, kind="det", seed=derive_seed(55, 8))
         )
         assert points[1][1] == direct.stats_for("det")[1].normalized_stddev
+
+    @pytest.mark.parametrize("kind", ["det", "perm"])
+    def test_a_pooled_trend_starts_one_pool_and_equals_the_serial_one(self, monkeypatch, kind):
+        serial = stddev_trend(paper_model(), [4, 6, 8], reps=3, index=1, kind=kind, seed=5)
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert stddev_trend(paper_model(), [4, 6, 8], reps=3, index=1, kind=kind, seed=5, threads=2) == serial
+        assert started == [2]
 
     def test_perm_run_costed_at_its_largest_n_before_any_point(self, monkeypatch):
         import gramexpect.montecarlo as montecarlo
