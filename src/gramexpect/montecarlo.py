@@ -17,19 +17,20 @@ Two contracts shape the implementation:
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
   results in index order. Reports are therefore byte-identical no matter
-  how many workers ran.
+  how many processes ran: with W workers, W - 1 child processes each take
+  every W-th replicate and the calling process takes its own share, and a
+  command, ``trend`` included, starts its children once.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from math import comb, factorial, lcm, prod, sqrt
 from operator import add, mul
 from random import Random
@@ -221,12 +222,14 @@ def perm_coefficient_op_cost(n: int, t: int, max_index: int) -> list[int]:
     """Cumulative cost per index of the Wick expansion below.
 
     Each degree-k level holds at most C(k+t-1, t-1)^2 coefficients, a
-    column costs about t^2 operations per coefficient, and only the n - k
-    columns after the first k meet a nonempty degree-k level, so
-    cost_i = t^2 sum_{k<i} (n - k) C(k+t-1, t-1)^2. It bounds the kernel's
-    multiply-adds for t >= 3 and undercounts them by up to 2x at t <= 2.
+    column costs about c = max(t^2, 2t + 1) operations per coefficient, and
+    only the n - k columns after the first k meet a nonempty degree-k
+    level, so cost_i = c sum_{k<i} (n - k) C(k+t-1, t-1)^2. It bounds the
+    kernel's multiply-adds; c = t^2 for t >= 3, and the 2t + 1 covers the
+    row scatters that t^2 undercounts at t <= 2.
     """
-    return list(accumulate((n - k) * t * t * comb(k + t - 1, t - 1) ** 2 for k in range(max_index)))
+    per_coefficient = max(t * t, 2 * t + 1)
+    return list(accumulate((n - k) * per_coefficient * comb(k + t - 1, t - 1) ** 2 for k in range(max_index)))
 
 
 def perm_by_wick(n: int, t: int, max_index: int, op_budget: int) -> bool:
@@ -393,18 +396,56 @@ def _aggregate(
     return tuple(stats)
 
 
-@contextmanager
-def _replicate_map(threads: int, reps: int) -> Iterator[Callable]:
-    """A map over replicates: worker processes, at most one per replicate and per CPU, or this process alone."""
+def _child_share(sender, work: list) -> None:
+    """A child's share of ``_map_replicates``: one message, its results or the exception that stopped them."""
+    try:
+        message = [_replicate_worker(args) for args in work]
+    except Exception as exc:
+        message = exc
+    sender.send(message)
+
+
+def _map_replicates(threads: int, work: list) -> list:
+    """``_replicate_worker`` over ``work``, in order, by this process and w - 1 children.
+
+    w = min(threads, len(work), usable CPUs); at w = 1 this process runs
+    everything. Otherwise child k runs work[k::w] and sends its results back
+    once through a one-way pipe while this process runs work[0::w]. A
+    child's exception is raised here, a child that exits without sending
+    raises RuntimeError, and every child is stopped and joined before the
+    call returns or raises.
+    """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    workers = min(threads, reps, os.cpu_count() or 1)
-    if workers == 1:
-        yield map
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield partial(pool.map, chunksize=max(1, reps // (workers * 4)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    w = min(threads, len(work), cpus)
+    if w <= 1:
+        return [_replicate_worker(args) for args in work]
+    from multiprocessing import Pipe, Process  # only runs with children pay for its import
+
+    children = []
+    try:
+        for k in range(1, w):
+            receiver, sender = Pipe(duplex=False)
+            child = Process(target=_child_share, args=(sender, work[k::w]))
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child holds the only write end now, so its exit ends the pipe
+        shares = [[_replicate_worker(args) for args in work[0::w]]]
+        for child, receiver in children:
+            try:
+                shares.append(receiver.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"a replicate worker exited with code {child.exitcode} before sending") from None
+            if isinstance(shares[-1], Exception):
+                raise shares[-1]
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.terminate()  # it has sent its share, or the call failed: either way it is done
+            child.join()
+    return [shares[r % w][r // w] for r in range(len(work))]
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_BUDGET) -> SimulationReport:
@@ -412,23 +453,26 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
 
     The permanental path and its op budget are settled by ``perm_by_wick``
     before any sampling starts, so a doomed run fails immediately.
-    ``threads`` > 1 fans replicates out to worker processes, at most one
-    per replicate and per CPU; the report is identical either way.
+    ``threads`` > 1 shares the replicates between this process and child
+    processes, at most one per replicate and per usable CPU; the report is
+    identical either way.
     """
-    with _replicate_map(threads, config.reps) as replicates:
-        return _simulate(config, op_budget, replicates)
+    return _report(config, _map_replicates(threads, _replicate_work(config, op_budget)))
 
 
-def _simulate(config: SimulationConfig, op_budget: int, replicates: Callable) -> SimulationReport:
-    """``simulate`` with the replicates run by ``replicates(_replicate_worker, work)``."""
+def _replicate_work(config: SimulationConfig, op_budget: int) -> list[tuple]:
+    """The ``_replicate_worker`` arguments of each replicate of ``config``, in index order."""
     kinds = config.kinds
     wick = "perm" not in kinds or perm_by_wick(config.n, config.model.t, config.max_index, op_budget)
-    work = [
+    return [
         (config.model, config.n, config.max_index, kinds, wick, op_budget, derive_seed(config.seed, r))
         for r in range(config.reps)
     ]
-    results = list(replicates(_replicate_worker, work))
 
+
+def _report(config: SimulationConfig, results: list) -> SimulationReport:
+    """The report of ``config`` from its replicates' results, in index order."""
+    kinds = config.kinds
     traces = traces_by_power(moment_matrix(config.model), config.max_index)
     recursions = {"det": expected_det_recursion, "perm": expected_perm_recursion}
     raw = dict(zip(kinds, zip(*results)))
@@ -461,10 +505,12 @@ def stddev_trend(
 ) -> list[tuple[int, float]]:
     """Normalized stddev of coefficient ``index`` across increasing n.
 
-    One simulate run per n, each on its own derived seed stream, all on one
-    pool of workers. ``kind`` must be det or perm; a combined trajectory
-    has no meaning here. Every n is validated, and a permanental run costed
-    at its largest n, before the first point is computed.
+    One simulate run per n, each on its own derived seed stream, and one
+    ``_map_replicates`` call for the replicates of every n, so a trend
+    starts its child processes once. ``kind`` must be det or perm; a
+    combined trajectory has no meaning here. Every n is validated, and a
+    permanental run costed at its largest n, before the first point is
+    computed.
     """
     if kind not in ("det", "perm"):
         raise ValueError(f'trend kind must be "det" or "perm", got {kind!r}')
@@ -484,10 +530,9 @@ def stddev_trend(
         # Both permanental cost models grow with n, so costing the largest n
         # refuses, before any work, exactly the runs a later point would.
         perm_by_wick(n_list[-1], model.t, index, op_budget)
-    points = []
-    # One pool serves every point: each has the same reps, so the same workers and chunks.
-    with _replicate_map(threads, reps) as replicates:
-        for config in configs:
-            report = _simulate(config, op_budget, replicates)
-            points.append((config.n, report.stats_for(kind)[index - 1].normalized_stddev))
-    return points
+    work = [args for config in configs for args in _replicate_work(config, op_budget)]
+    results = iter(_map_replicates(threads, work))
+    return [
+        (config.n, _report(config, list(islice(results, reps))).stats_for(kind)[index - 1].normalized_stddev)
+        for config in configs
+    ]

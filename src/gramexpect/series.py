@@ -68,17 +68,18 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term. Sums run over the support only."""
         if self.coeffs[0] == 0:
             raise ValueError("inverse requires a nonzero constant term")
         n = self.order
+        support = [(k, s) for k, s in enumerate(self.coeffs) if k and s]
         out = [Fraction(0)] * (n + 1)
         out[0] = 1 / self.coeffs[0]
         for m in range(1, n + 1):
             acc = Fraction(0)
-            for k in range(1, m + 1):
-                s = self.coeffs[k]
-                if s != 0:
-                    acc += s * out[m - k]
+            for k, s in support:
+                if k > m:
+                    break
+                acc += s * out[m - k]
             out[m] = -acc / self.coeffs[0]
         return TruncatedSeries(tuple(out))

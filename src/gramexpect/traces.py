@@ -63,23 +63,21 @@ def traces_from_char_coeffs(coeffs: CharCoeffs, count: int) -> TraceSequence:
 
         t_n = sum_{i=1}^{n-1} (-1)^(i-1) c_i t_{n-i}  +  (-1)^(n-1) n c_n
 
-    so the sequence extends to any length even though only c_1..c_t exist.
+    so the sequence extends to any length even though only c_1..c_t exist,
+    and the sum runs only to i = min(n - 1, t).
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     t = coeffs.dimension
-
-    def c(k: int) -> Fraction:
-        return coeffs[k] if k <= t else Fraction(0)
-
     values: list[Fraction] = []
     for n in range(1, count + 1):
         total = Fraction(0)
-        for i in range(1, n):
-            term = c(i) * values[n - i - 1]
+        for i in range(1, min(n - 1, t) + 1):
+            term = coeffs[i] * values[n - i - 1]
             total += term if i % 2 == 1 else -term
-        tail = n * c(n)
-        total += tail if n % 2 == 1 else -tail
+        if n <= t:
+            tail = n * coeffs[n]
+            total += tail if n % 2 == 1 else -tail
         values.append(total)
     return TraceSequence(tuple(values))
 

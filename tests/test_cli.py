@@ -71,13 +71,19 @@ class TestBasics:
         assert "--model" in proc.stderr
 
     def test_importing_the_cli_leaves_the_process_pool_unloaded(self):
-        # Only simulate with --threads > 1 imports concurrent.futures.process.
-        code = "import sys, gramexpect.cli; print('concurrent.futures.process' in sys.modules)"
+        # Only a run with child processes imports multiprocessing; --threads 1 runs in-process.
+        code = (
+            "import contextlib, io, sys, gramexpect.cli as cli\n"
+            "loaded = ['multiprocessing' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['simulate', '--paper', '-n', '4', '--reps', '3', '--threads', '1'])\n"
+            "print(code, *loaded, 'multiprocessing' in sys.modules)"
+        )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
         )
-        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+        assert (proc.returncode, proc.stdout.strip()) == (0, "0 False False")
 
     def test_float_probability_in_model_file_exits_2(self, tmp_path):
         path = tmp_path / "float.json"
@@ -322,6 +328,15 @@ class TestOracleCommand:
 
 
 class TestSimulate:
+    def test_spawned_children_give_the_same_stdout(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = os.path.join(os.path.dirname(__file__), "spawn_check.py")
+        proc = subprocess.run(
+            [sys.executable, script], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("spawned children give the same stdout:")
+
     def test_json_deterministic_across_thread_counts(self):
         argv = (
             "simulate", "--paper", "-n", "8", "--reps", "6", "--max-index", "3",

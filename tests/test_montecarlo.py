@@ -1,5 +1,7 @@
-import concurrent.futures
+import multiprocessing
 import os
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, sqrt
 from operator import mul
@@ -73,6 +75,37 @@ class TestSeedSplitting:
         retry = retry_seed(20240801)
         assert retry != 20240801
         assert all(derive_seed(20240801, r) != retry for r in range(1000))
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the block with TimeoutError after ``seconds``, where SIGALRM exists, instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def count_children(monkeypatch) -> list:
+    """The child processes ``_map_replicates`` starts from now on, listed as they start."""
+    started, start = [], multiprocessing.Process.start
+
+    def counting_start(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+    return started
 
 
 def sample_gram(model, n, rng):
@@ -490,37 +523,60 @@ class TestParallelism:
         assert simulate(cfg, threads=1) == simulate(cfg, threads=2)
 
     @pytest.mark.parametrize(
-        "threads, reps, cpus, pool",
+        "threads, reps, cpus, children",
         [
-            (10**6, 6, 4, [(4, 1)]),
-            (10**6, 3, 64, [(3, 1)]),
-            (2, 100, 2, [(2, 12)]),  # simulate-det-par's pool
-            (10**6, 5, 1, []),  # one worker runs in this process
+            (10**6, 6, 4, 3),
+            (10**6, 3, 64, 2),
+            (2, 100, 2, 1),  # simulate-det-par: one child and this process
+            (10**6, 5, 1, 0),  # one worker runs in this process
         ],
     )
-    def test_the_pool_never_outgrows_the_replicates_or_the_cpus(self, monkeypatch, threads, reps, cpus, pool):
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items, chunksize):
-                requested.append((self.max_workers, chunksize))
-                return map(fn, items)
-
+    def test_the_pool_never_outgrows_the_replicates_or_the_cpus(self, monkeypatch, threads, reps, cpus, children):
         cfg = SimulationConfig(paper_model(), n=5, reps=reps, max_index=2, kind="both", seed=reps)
         single = simulate(cfg, threads=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started = count_children(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert simulate(cfg, threads=threads) == single
-        assert requested == pool
+        assert len(started) == children
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cpus_bound_the_workers(self, monkeypatch):
+        cfg = SimulationConfig(paper_model(), n=5, reps=4, max_index=2, kind="det", seed=3)
+        single = simulate(cfg, threads=1)
+        started = count_children(monkeypatch)
+        # One usable CPU of four installed, as under taskset -c 0: no child.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert simulate(cfg, threads=2) == single
+        assert started == []
+        # Without an affinity call the installed count bounds them.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert simulate(cfg, threads=3) == single
+        assert len(started) == 2
+
+    def test_a_child_exception_is_raised_with_its_type(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        cfg = SimulationConfig(paper_model(), n=5, reps=6, max_index=2, kind="perm", seed=0)
+        work = montecarlo._replicate_work(cfg, OP_BUDGET)
+        # Replicate 1 falls to the first of two children and takes the Ryser path on a budget of one op.
+        work[1] = work[1][:4] + (False, 1) + work[1][6:]
+        with deadline(60), pytest.raises(GuardExceeded, match="permanental_poly_coeffs guard"):
+            montecarlo._map_replicates(3, work)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork", reason="children see the patch only by fork")
+    def test_a_child_that_exits_without_sending_raises(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        parent, worker = os.getpid(), montecarlo._replicate_worker
+
+        def dies_in_a_child(args):
+            return worker(args) if os.getpid() == parent else os._exit(7)
+
+        monkeypatch.setattr(montecarlo, "_replicate_worker", dies_in_a_child)
+        cfg = SimulationConfig(paper_model(), n=5, reps=4, max_index=2, kind="det", seed=0)
+        with deadline(60), pytest.raises(RuntimeError, match="exited with code 7 before sending"):
+            simulate(cfg, threads=2)
+        assert multiprocessing.active_children() == []
 
     def test_thread_validation(self):
         cfg = SimulationConfig(TWO_ATOMS, n=2, reps=1, max_index=1, kind="det", seed=0)
@@ -556,6 +612,9 @@ class TestGuard:
         costs = perm_coefficient_op_cost(60, 4, 5)
         # t^2 (60 + 59 * 16 + 58 * 100 + 57 * 400 + 56 * 1225) summed index by index.
         assert costs == [960, 16064, 108864, 473664, 1571264]
+        # At t <= 2 a coefficient costs 2t + 1, not t^2: 3 (60 + 59 + ...) and 5 (60 + 59 * 4 + 58 * 9 + ...).
+        assert perm_coefficient_op_cost(60, 1, 5) == [180, 357, 531, 702, 870]
+        assert perm_coefficient_op_cost(60, 2, 5) == [300, 1480, 4090, 8650, 15650]
         for n in (6, 12, 200):
             for t in (1, 2, 4):
                 costs = perm_coefficient_op_cost(n, t, 6)
@@ -610,17 +669,12 @@ class TestTrend:
     @pytest.mark.parametrize("kind", ["det", "perm"])
     def test_a_pooled_trend_starts_one_pool_and_equals_the_serial_one(self, monkeypatch, kind):
         serial = stddev_trend(paper_model(), [4, 6, 8], reps=3, index=1, kind=kind, seed=5)
-        started = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert stddev_trend(paper_model(), [4, 6, 8], reps=3, index=1, kind=kind, seed=5, threads=2) == serial
-        assert started == [2]
+        started = count_children(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        # Three workers over all nine replicates: two children for the whole trend.
+        assert stddev_trend(paper_model(), [4, 6, 8], reps=3, index=1, kind=kind, seed=5, threads=3) == serial
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
 
     def test_perm_run_costed_at_its_largest_n_before_any_point(self, monkeypatch):
         import gramexpect.montecarlo as montecarlo

@@ -6,7 +6,10 @@ from random import Random
 import pytest
 
 from gramexpect import (
+    CompoundCountModel,
+    DiscreteVectorDistribution,
     TraceSequence,
+    TruncatedSeries,
     char_coeffs,
     det_sequence_from_char,
     egf_expand_det,
@@ -15,8 +18,10 @@ from gramexpect import (
     expected_det_recursion,
     expected_perm_from_char,
     expected_perm_recursion,
+    moment_matrix,
     paper_model,
     traces_by_power,
+    traces_from_char_coeffs,
     weighted_cycle_sum,
 )
 from gramexpect.matrices import CharCoeffs
@@ -276,3 +281,41 @@ class TestExpectedCoefficient:
             expected_coefficient(2, 3, seq)
         with pytest.raises(IndexError):
             expected_coefficient(10, 4, seq)
+
+
+class TestLoopsOverZeros:
+    """The trace recovery and the series inverse skip the zero c_i past the dimension."""
+
+    @staticmethod
+    def dense_traces(coeffs, count):
+        # Newton's identities with every c_i, zero or not, as the loop ran before.
+        c = [coeffs[k] if k <= coeffs.dimension else F(0) for k in range(count + 1)]
+        values = []
+        for n in range(1, count + 1):
+            total = sum((c[i] * values[n - i - 1] * (-1) ** (i - 1) for i in range(1, n)), F(0))
+            values.append(total + n * c[n] * (-1) ** (n - 1))
+        return tuple(values)
+
+    @staticmethod
+    def dense_inverse(coeffs):
+        out = [1 / coeffs[0]]
+        for m in range(1, len(coeffs)):
+            out.append(-sum((coeffs[k] * out[m - k] for k in range(1, m + 1)), F(0)) / coeffs[0])
+        return tuple(out)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            paper_model(),
+            DiscreteVectorDistribution.from_pairs(
+                [((1, 2, 0), F(1, 3)), ((F(1, 2), 0, 3), F(1, 2)), ((0, 1, 1), F(1, 6))]
+            ),
+            CompoundCountModel(probs=(F(1, 2), F(1, 3), F(1, 6)), ell_law=((1, F(1, 4)), (3, F(3, 4)))),
+        ],
+        ids=["paper", "atoms", "compound"],
+    )
+    def test_equal_to_the_dense_loops_up_to_200(self, model):
+        coeffs = char_coeffs(moment_matrix(model))
+        assert traces_from_char_coeffs(coeffs, 200).values == self.dense_traces(coeffs, 200)
+        series = TruncatedSeries.from_coefficients([coeffs[i] * (-1) ** i for i in range(coeffs.dimension + 1)], 200)
+        assert series.inverse().coeffs == self.dense_inverse(series.coeffs)
