@@ -24,9 +24,10 @@ streams are reproducible bit for bit and independent of float rounding.
 ``sample_columns`` draws the words in blocks and categorises each by its
 top byte, or by an exact ``bisect_right`` on the full word whenever a
 threshold falls inside that byte, so the stream is unchanged; it tallies
-each count column in C with ``bytes.count``. ``sample_rows`` alone
-convolves: it tallies multinomial counts by big-integer convolution into
-the bytes rows of A, and ``sample_columns`` is the per-column reference.
+each count column in C with ``bytes.count``. ``sample_rows`` gives the
+integer rows of A: an atoms model's columns times its ``scale`` D, the lcm
+of its entries' denominators, and multinomial counts convolved into bytes
+rows. ``sample_columns`` is the per-column reference in the model's values.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain
-from math import ceil
+from math import ceil, lcm
 from operator import add
 from random import Random
 from struct import unpack
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .matrices import ExactMatrix, leverrier_char_coeffs
 from .scalars import format_rational, to_rational
@@ -74,7 +75,7 @@ def _coerce_prob_vector(probs: Sequence[Fraction | int | str], what: str) -> tup
 
 @dataclass(frozen=True)
 class DiscreteVectorDistribution:
-    """Finitely many rational atom vectors with probabilities summing to 1."""
+    """Finitely many rational atom vectors with probabilities summing to 1; ``scale`` D makes them ints."""
 
     atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
 
@@ -92,6 +93,8 @@ class DiscreteVectorDistribution:
         )
         object.__setattr__(self, "atoms", tuple(zip(vectors, probs)))
         object.__setattr__(self, "_sampler", CategoricalSampler(probs))
+        object.__setattr__(self, "scale", lcm(*(v.denominator for vec in vectors for v in vec)))
+        object.__setattr__(self, "_scaled", tuple(tuple(int(v * self.scale) for v in vec) for vec in vectors))
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteVectorDistribution":
@@ -109,6 +112,7 @@ class MultinomialCountModel:
     ell = 0 is allowed and yields the zero vector with probability 1.
     """
 
+    scale = 1  # counts are integers: sample_rows returns them unscaled
     ell: int
     probs: tuple[Fraction, ...]
 
@@ -127,6 +131,7 @@ class MultinomialCountModel:
 class CompoundCountModel:
     """Multinomial counts whose trial count ell has a finite rational law."""
 
+    scale = 1
     probs: tuple[Fraction, ...]
     ell_law: tuple[tuple[int, Fraction], ...]
 
@@ -315,6 +320,11 @@ def _counted_column(sampler: CategoricalSampler, rng: Random, ell: int, t: int) 
     return counts
 
 
+def _atom_draws(model: DiscreteVectorDistribution, n: int, rng: Random) -> Iterator[int]:
+    """The atom indices of n columns, drawn a block of words at a time."""
+    return chain.from_iterable(model._sampler.categories(rng, k) for k in _chunks(n, _BLOCK))
+
+
 def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ...]] | list[tuple[int, ...]]:
     """n column vectors drawn from the model, in order.
 
@@ -324,9 +334,7 @@ def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ..
     Extra memory is O(block + n t) however long a column is.
     """
     if isinstance(model, DiscreteVectorDistribution):
-        vectors = [vec for vec, _ in model.atoms]
-        draws = (model._sampler.categories(rng, k) for k in _chunks(n, _BLOCK))
-        return list(map(vectors.__getitem__, chain.from_iterable(draws)))
+        return list(map([vec for vec, _ in model.atoms].__getitem__, _atom_draws(model, n, rng)))
     t = model.t
     if isinstance(model, MultinomialCountModel):
         return [_counted_column(model._sampler, rng, model.ell, t) for _ in range(n)]
@@ -334,13 +342,13 @@ def sample_columns(model: Model, n: int, rng: Random) -> list[tuple[Fraction, ..
     return [_counted_column(model._sampler, rng, ells[model._ell_sampler.draw(rng)], t) for _ in range(n)]
 
 
-def sample_rows(model: Model, n: int, rng: Random) -> list[bytes] | list[tuple]:
-    """The rows of A, i.e. ``sample_columns`` transposed, from the same words.
-
-    Convolved multinomial counts stay t bytes rows, one byte per column.
-    """
-    rows = _convolved_rows(model, n, rng)
-    return list(zip(*sample_columns(model, n, rng))) if rows is None else rows
+def sample_rows(model: Model, n: int, rng: Random) -> list[bytes] | list[tuple[int, ...]]:
+    """The t integer rows of A, ``scale`` times the transposed ``sample_columns``, from the same words."""
+    if isinstance(model, DiscreteVectorDistribution):
+        rows = list(zip(*map(model._scaled.__getitem__, _atom_draws(model, n, rng))))
+    else:
+        rows = _convolved_rows(model, n, rng) or list(zip(*sample_columns(model, n, rng)))
+    return rows or [()] * model.t
 
 
 def sample_vector(model: Model, rng: Random) -> tuple[Fraction, ...] | tuple[int, ...]:

@@ -13,7 +13,9 @@ Two contracts shape the implementation:
   including exact zeros past the rank. The d_i come from the t rows of A
   too, by a Wick expansion kept as one row-sparse matrix per degree over
   that degree's monomials, at a cost linear in n at fixed t and max_index.
-  No floating-point fallback exists, and the report's mode field says so.
+  Both kernels run in ints on rows that the model has scaled by its D, and
+  each replicate divides coefficient i by D^(2i) once. No floating-point
+  fallback exists, and the report's mode field says so.
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
   results in index order. Reports are therefore byte-identical no matter
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from math import comb, factorial, lcm, prod, sqrt
+from math import comb, factorial, prod, sqrt
 from operator import add, mul
 from random import Random
 
@@ -170,25 +172,19 @@ def _row_gram(rows: list) -> list[list[int]]:
     return w
 
 
-def _char_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]:
-    """b_1..b_max_index of the Gram matrix of A, exactly, at any n, from the rows of A.
+def _char_coefficient_values(rows: list, max_index: int) -> tuple[int, ...]:
+    """b_1..b_max_index of the Gram matrix of the integer rows of A, exactly, at any n.
 
     Works on W = A A^T (t x t, t the column dimension): its power sums equal
     those of the Gram matrix, and elementary symmetric functions of a
     spectrum ignore extra zero eigenvalues, so e_k(G) = e_k(W) for k up to
     n, with e_k(W) = 0 past the rank. Cost is O(t^2 n + t^3 max_index).
-    Count rows are ints or bytes; atom rows are Fractions and are scaled by
-    the lcm D of their denominators, so W is an integer matrix
-    (``_row_gram``). The power sums need only W^k up to k = ceil(m/2), as
+    The power sums need only W^k up to k = ceil(m/2), as
     tr(W^(2k)) = <W^k, W^k> and tr(W^(2k+1)) = <W^k, W^(k+1)>; they and
-    Newton's identities run in ints, and e_k is divided by D^(2k) once.
+    Newton's identities run in ints.
     """
     if max_index == 0:
         return ()
-    scale = 1
-    if isinstance(rows[0][0], Fraction):
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        rows = [[int(x * scale) for x in row] for row in rows]
     w = _row_gram(rows)
     t = len(w)
     # powers[k] is W^k from W^0 = I, so tr(W) = <W^0, W^1> takes the same formula.
@@ -198,8 +194,7 @@ def _char_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]
         powers.append([[sum(map(mul, row, w_row)) for w_row in w] for row in powers[-1]])
     flat = [list(chain.from_iterable(power)) for power in powers]
     power_sums = [sum(map(mul, flat[k // 2], flat[(k + 1) // 2])) for k in range(1, max_index + 1)]
-    elementary = integer_elementary_from_power_sums(power_sums, max_index)
-    return tuple(Fraction(e, scale ** (2 * k)) for k, e in enumerate(elementary[1:], start=1))
+    return tuple(integer_elementary_from_power_sums(power_sums, max_index)[1:])
 
 
 def check_sampling_draws(model: Model, n: int, op_budget: int) -> None:
@@ -276,8 +271,8 @@ def _monomial_tables(t: int, max_index: int) -> tuple[list, list, list]:
     return successors, predecessors, [[prod(map(factorial, q)) for q in level] for level in monomials]
 
 
-def _perm_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]:
-    """d_1..d_max_index of the Gram matrix of A, exactly, from the rows of A, without forming it.
+def _perm_coefficient_values(rows: list, max_index: int) -> tuple[int, ...]:
+    """d_1..d_max_index of the Gram matrix of the integer rows of A, exactly, without forming it.
 
     d_i sums perm over the i x i principal submatrices of G = A^T A. With
     l_j(u) = sum_k a_kj u_k for column j and the linear functional
@@ -292,18 +287,14 @@ def _perm_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]
     by x: each row moves through T, skipping zeros, and is scattered into t
     rows. Repeated columns are grouped and enter as (1 + x l(u) l(v))^c.
     The top degree is never formed: d_max_index gains sum_q q! sum over
-    (p, a), (p', b) in pred(q) of x_a x_b M[p][p']. Columns are scaled by
-    the lcm D of their denominators so every coefficient is an int, and
-    d_i is divided by D^(2i) at the end. Cost: ``perm_coefficient_op_cost``.
+    (p, a), (p', b) in pred(q) of x_a x_b M[p][p']. Cost: ``perm_coefficient_op_cost``.
     """
     if max_index == 0:
         return ()
-    scale = lcm(*(x.denominator for row in rows for x in row))
     successors, predecessors, weights = _monomial_tables(len(rows), max_index)
     levels: list[dict[int, list[int]]] = [{0: [1]}] + [{} for _ in range(1, max_index)]
     top = 0
-    for column, count in Counter(zip(*rows)).items():
-        xs = [int(x * scale) for x in column]
+    for xs, count in Counter(zip(*rows)).items():
         terms = [(a, x) for a, x in enumerate(xs) if x]
         if not terms:
             continue
@@ -352,22 +343,22 @@ def _perm_coefficient_values(rows: list, max_index: int) -> tuple[Fraction, ...]
                         row = map(weight.__mul__, row)
                         level[q] = list(map(add, level[q], row)) if q in level else list(row)
                 poly = target
-    values = [sum(weights[i][q] * row[q] for q, row in levels[i].items()) for i in range(1, max_index)] + [top]
-    return tuple(Fraction(v, scale ** (2 * i)) for i, v in enumerate(values, start=1))
+    return tuple(sum(weights[i][q] * row[q] for q, row in levels[i].items()) for i in range(1, max_index)) + (top,)
 
 
 def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...], ...]:
-    """One replicate: the values of each kind in ``kinds``, from one draw of A."""
+    """One replicate from one draw of A: each kind's values on its D-scaled rows, value i over D^(2i)."""
     model, n, max_index, kinds, wick, op_budget, stream_seed = args
     rows = sample_rows(model, n, Random(stream_seed))
     values = []
     for kind in kinds:
         if kind == "det":
-            values.append(_char_coefficient_values(rows, max_index))
+            scaled = _char_coefficient_values(rows, max_index)
         elif wick:
-            values.append(_perm_coefficient_values(rows, max_index))
+            scaled = _perm_coefficient_values(rows, max_index)
         else:
-            values.append(permanental_poly_coeffs(_gram_entries(rows), max_index, op_budget=op_budget)[1:])
+            scaled = permanental_poly_coeffs(_gram_entries(rows), max_index, op_budget=op_budget)[1:]
+        values.append(tuple(Fraction(v, model.scale ** (2 * i)) for i, v in enumerate(scaled, start=1)))
     return tuple(values)
 
 

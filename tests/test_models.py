@@ -1,6 +1,7 @@
 import pickle
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -403,7 +404,8 @@ class TestSampleColumns:
         _assert_stream_identical(model, n, seed)
         # sample_rows convolves multinomial counts; the per-draw loop is its reference too.
         rows = sample_rows(model, n, Random(seed))
-        assert [tuple(row) for row in rows] == list(zip(*_reference_columns(model, n, Random(seed))))
+        assert len(rows) == model.t
+        assert list(zip(*rows)) == _reference_columns(model, n, Random(seed))
 
     def test_counts_columns_without_the_convolution(self, monkeypatch):
         def refuse(*args):
@@ -418,6 +420,11 @@ class TestSampleColumns:
         copy = pickle.loads(pickle.dumps(model))
         assert copy == model
         assert sample_columns(copy, 30, Random(4)) == sample_columns(model, 30, Random(4))
+        # Signed rational atoms travel with their scale D = 6 and their scaled rows.
+        atoms = DiscreteVectorDistribution.from_pairs([((1, "-1/2"), "1/3"), (("2/3", 0), "1/6"), ((-2, 5), "1/2")])
+        copy = pickle.loads(pickle.dumps(atoms))
+        assert copy == atoms and copy.scale == atoms.scale == 6
+        assert sample_rows(copy, 30, Random(4)) == sample_rows(atoms, 30, Random(4))
 
     def test_long_column_memory_stays_at_block_scale(self):
         model = MultinomialCountModel(ell=10**6, probs=(F(1, 3), F(2, 3)))
@@ -446,19 +453,26 @@ ROW_CASES = {
     "ell-zero": (MultinomialCountModel(ell=0, probs=(F(1, 2), F(1, 2))), 5),
     "multinomial-300-categories": STREAM_CASES["multinomial-300-categories"],
     "atoms": STREAM_CASES["atoms-with-zero-prob-atom"],
+    "atoms-n-zero": (STREAM_CASES["atoms-with-zero-prob-atom"][0], 0),
+    "atoms-300": STREAM_CASES["atoms-300"],
     "compound": STREAM_CASES["compound"],
     "compound-non-dyadic-above-block": STREAM_CASES["compound-non-dyadic-above-block"],
 }
 
 
 def _assert_rows_are_transposed_columns(model, n, seed):
+    """sample_rows: t integer rows, D times the transposed sample_columns, from the same words."""
     by_rows, by_columns = Random(seed), Random(seed)
     rows = sample_rows(model, n, by_rows)
-    assert [tuple(row) for row in rows] == list(zip(*sample_columns(model, n, by_columns)))
+    atoms = isinstance(model, DiscreteVectorDistribution)
+    scale = lcm(*(x.denominator for vec, _ in model.atoms for x in vec)) if atoms else 1
+    columns = sample_columns(model, n, by_columns)
+    assert list(zip(*rows)) == [tuple(scale * x for x in column) for column in columns]
     assert by_rows.getrandbits(64) == by_columns.getrandbits(64)
     convolved = isinstance(model, MultinomialCountModel) and n > 1 and 0 < model.ell < 64 and model.t < 255
     assert all(isinstance(row, bytes) == convolved for row in rows)
-    assert all(len(row) == n for row in rows)
+    assert len(rows) == model.t and all(len(row) == n for row in rows)
+    assert all(type(x) is int for row in rows for x in row)
 
 
 class TestSampleRows:

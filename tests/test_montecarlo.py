@@ -1,9 +1,11 @@
 import multiprocessing
 import os
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, sqrt
+from itertools import combinations_with_replacement
+from math import comb, factorial, lcm, prod, sqrt
 from operator import mul
 from random import Random
 
@@ -17,6 +19,7 @@ from gramexpect import (
     SimulationConfig,
     derive_seed,
     expected_det_recursion,
+    expected_perm_recursion,
     moment_matrix,
     paper_model,
     retry_seed,
@@ -141,19 +144,33 @@ def ryser_coefficients(columns, max_index):
     return permanental_poly_coeffs(g, max_index)[1:]
 
 
+def integer_rows(rows):
+    """The rows scaled to ints by the lcm D of their entries' denominators (bytes rows as they are), and D."""
+    scale = lcm(*(F(x).denominator for row in rows for x in row))
+    return [row if isinstance(row, bytes) else tuple(int(x * scale) for x in row) for row in rows], scale
+
+
+def unscaled(values, scale):
+    """Coefficient i of D-scaled rows over D^(2i)."""
+    return tuple(F(v, scale ** (2 * i)) for i, v in enumerate(values, start=1))
+
+
 def assert_matches_ryser(columns, max_index):
-    values = _perm_coefficient_values(list(zip(*columns)), max_index)
-    assert values == ryser_coefficients(columns, max_index)
-    assert all(type(v) is Fraction for v in values)
+    """The Wick kernel, fed the columns scaled to integer rows, against Ryser on the n x n Gram matrix."""
+    rows, scale = integer_rows(list(zip(*columns)))
+    values = _perm_coefficient_values(rows, max_index)
+    assert all(type(v) is int for v in values)
+    assert unscaled(values, scale) == ryser_coefficients(columns, max_index)
 
 
 def assert_matches_char_poly(rows, max_index):
-    """The integer det replicate, fed the rows of A, against Leverrier on the n x n Gram matrix (oracles.py)."""
-    values = _char_coefficient_values(rows, max_index)
+    """The integer det replicate, fed the rows of A scaled to ints, against Leverrier on the n x n Gram matrix."""
+    scaled, scale = integer_rows(rows)
+    values = _char_coefficient_values(scaled, max_index)
+    assert all(type(v) is int for v in values)
     coeffs = char_poly_coeffs_of_gram(gram(ExactMatrix.from_rows(rows)))
     coeffs += (F(0),) * (max_index + 1 - len(coeffs))
-    assert values == coeffs[1 : max_index + 1]
-    assert all(type(v) is Fraction for v in values)
+    assert unscaled(values, scale) == coeffs[1 : max_index + 1]
 
 
 class TestCharCoefficientValues:
@@ -302,6 +319,58 @@ class TestPermCoefficientValues:
         assert_matches_ryser(columns, max_index)
 
 
+def outcomes(model):
+    """The (column, probability) pairs of an atoms model or a multinomial, columns in the model's own values."""
+    if isinstance(model, DiscreteVectorDistribution):
+        return list(model.atoms)
+    # Each sorted choice of t - 1 cut points in 0..ell splits the ell trials into one count vector.
+    cuts = combinations_with_replacement(range(model.ell + 1), model.t - 1)
+    columns = [tuple(b - a for a, b in zip((0,) + c, c + (model.ell,))) for c in cuts]
+    return [(x, factorial(model.ell) * prod(p**k / factorial(k) for p, k in zip(model.probs, x))) for x in columns]
+
+
+EXACT_MODELS = {
+    "integer-atoms": DiscreteVectorDistribution.from_pairs(
+        [((1, 0, 2), "1/2"), ((0, 3, 1), "1/3"), ((2, 1, 1), "1/6")]
+    ),
+    # D = 6: the rows are six times the columns.
+    "signed-rational-atoms": DiscreteVectorDistribution.from_pairs(
+        [((1, "-1/2", 0), "1/4"), (("2/3", 0, -1), "1/4"), ((-2, "1/3", "5/2"), "1/2")]
+    ),
+    "multinomial-ell-2-t-2": MultinomialCountModel(ell=2, probs=(F(1, 3), F(2, 3))),
+}
+
+
+class TestExactAverages:
+    """E(b_i) = C(n,i) a_i and E(d_i) = C(n,i) p_i exactly, summed over every column multiset of n draws.
+
+    A multiset with counts c_k of the outcomes has probability n! prod p_k^c_k / c_k!. Its rows, D
+    times its columns as ``sample_rows`` gives them, go through the real ``_replicate_worker``.
+    """
+
+    # Ryser at n = 8 takes about 5 s a model, so only the Wick path runs there.
+    @pytest.mark.parametrize(
+        "n, wick", [(3, True), (6, True), (8, True), (3, False), (6, False)], ids=["3", "6", "8", "3-ryser", "6-ryser"]
+    )
+    @pytest.mark.parametrize("model", EXACT_MODELS.values(), ids=EXACT_MODELS.keys())
+    def test_replicates_average_to_the_exact_values(self, monkeypatch, model, n, wick):
+        pairs = outcomes(model)
+        assert sum(p for _, p in pairs) == 1
+        sums = {"det": [F(0)] * n, "perm": [F(0)] * n}
+        for choice in combinations_with_replacement(range(len(pairs)), n):
+            counts = Counter(choice)
+            weight = factorial(n) * prod(pairs[k][1] ** c / factorial(c) for k, c in counts.items())
+            rows = list(zip(*(tuple(int(model.scale * x) for x in pairs[k][0]) for k in choice)))
+            monkeypatch.setattr(montecarlo, "sample_rows", lambda *args, rows=rows: rows)
+            det, perm = montecarlo._replicate_worker((model, n, n, ("det", "perm"), wick, OP_BUDGET, 0))
+            for kind, values in (("det", det), ("perm", perm)):
+                sums[kind] = [s + weight * v for s, v in zip(sums[kind], values)]
+        traces = traces_by_power(moment_matrix(model), n)
+        exact = {"det": expected_det_recursion(traces, n), "perm": expected_perm_recursion(traces, n)}
+        for kind in ("det", "perm"):
+            assert sums[kind] == [comb(n, i) * exact[kind][i] for i in range(1, n + 1)]
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
         model = paper_model()
@@ -404,7 +473,8 @@ class TestReplicateValues:
         report = simulate(cfg)
         for r, row in enumerate(report.raw["perm"]):
             columns = sample_columns(model, cfg.n, Random(derive_seed(cfg.seed, r)))
-            assert row == _perm_coefficient_values(list(zip(*columns)), cfg.max_index)
+            rows, scale = integer_rows(list(zip(*columns)))
+            assert row == unscaled(_perm_coefficient_values(rows, cfg.max_index), scale)
 
     def test_raw_values_and_their_normalization(self):
         cfg = SimulationConfig(paper_model(), n=5, reps=3, max_index=3, kind="both", seed=21)
