@@ -1,9 +1,14 @@
 """Exact dense matrices over the rationals.
 
-Deliberately boring: tuples of tuples of Fractions with schoolbook O(n^3)
-products. The package trades asymptotics for exactness, and every matrix it
-touches is small (moment matrices of dimension t, desk-scale Gram matrices),
-so this stays comfortably fast.
+Deliberately boring: an ``ExactMatrix`` holds tuples of tuples of Fractions,
+and its products are schoolbook O(n^3). The package trades asymptotics for
+exactness, and every matrix it touches is small (moment matrices of
+dimension t, desk-scale Gram matrices), so this stays comfortably fast.
+The chains of products do not multiply Fractions: ``integer_scaled``, the
+one lcm-and-scale step, writes a rational matrix as D^-1 times an integer
+matrix, D the lcm of its denominators. Leverrier here and the power traces
+in ``traces`` multiply that integer matrix and divide by D^k once per
+result, and the atoms model scales its atom vectors the same way.
 
 Also home to the characteristic-coefficient computation, since both the
 moment-matrix closed forms and the Gram-matrix oracles need it.
@@ -14,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .scalars import format_rational, to_rational
@@ -111,29 +118,35 @@ class CharCoeffs:
         return len(self.values)
 
 
+def integer_scaled(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lcm D of the entries' denominators and the rows times D, as ints: rows = scaled / D."""
+    scale = lcm(*(v.denominator for row in rows for v in row))
+    return scale, tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in rows)
+
+
 def leverrier_char_coeffs(matrix: ExactMatrix) -> CharCoeffs:
     """Elementary symmetric functions of a square matrix's eigenvalues.
 
-    Faddeev-LeVerrier chain, division-free apart from the exact /k:
-    B_0 = I, and for k = 1..n take C_k = M B_{k-1}, r_k = tr(C_k)/k,
-    B_k = C_k - r_k I. The raw r_k equal (-1)^(k-1) e_k, so odd indices are
-    kept and even indices negated. Runs in O(n^4) exact operations.
+    Faddeev-LeVerrier chain on the integer matrix M' = D M of
+    ``integer_scaled``: B_0 = I, and for k = 1..n take C_k = M' B_{k-1},
+    r_k = tr(C_k)/k, B_k = C_k - r_k I. Every B_k is an integer polynomial
+    in M', and r_k = (-1)^(k-1) e_k(M') is an integer, so the division by k
+    is exact. Odd indices are kept and even ones negated, and
+    e_k(M) = e_k(M') / D^k. Runs in O(n^4) integer operations.
     """
     if not matrix.is_square:
         raise ValueError("characteristic coefficients require a square matrix")
     n = matrix.rows
+    scale, m = integer_scaled(matrix.entries)
     coeffs = [Fraction(1)]
-    b = identity(n)
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        c = matrix @ b
-        raw = c.trace() / k
-        coeffs.append(raw if k % 2 == 1 else -raw)
-        b = ExactMatrix(
-            tuple(
-                tuple(c.entries[i][j] - (raw if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-        )
+        columns = list(zip(*b))
+        b = [[sum(map(mul, row, column)) for column in columns] for row in m]
+        raw = sum(b[i][i] for i in range(n)) // k
+        coeffs.append(Fraction(raw if k % 2 == 1 else -raw, scale**k))
+        for i in range(n):
+            b[i][i] -= raw
     return CharCoeffs(tuple(coeffs))
 
 

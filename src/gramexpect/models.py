@@ -38,13 +38,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain
-from math import ceil, lcm
+from math import ceil
 from operator import add
 from random import Random
 from struct import unpack
 from typing import Iterator, Sequence
 
-from .matrices import ExactMatrix, leverrier_char_coeffs
+from .matrices import ExactMatrix, integer_scaled, leverrier_char_coeffs
 from .scalars import format_rational, to_rational
 
 _TWO64 = 1 << 64
@@ -93,8 +93,9 @@ class DiscreteVectorDistribution:
         )
         object.__setattr__(self, "atoms", tuple(zip(vectors, probs)))
         object.__setattr__(self, "_sampler", CategoricalSampler(probs))
-        object.__setattr__(self, "scale", lcm(*(v.denominator for vec in vectors for v in vec)))
-        object.__setattr__(self, "_scaled", tuple(tuple(int(v * self.scale) for v in vec) for vec in vectors))
+        scale, scaled = integer_scaled(vectors)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "_scaled", scaled)
 
     @classmethod
     def from_pairs(cls, pairs) -> "DiscreteVectorDistribution":

@@ -1,9 +1,10 @@
 """Power traces t_n = trace(M^n) of a moment matrix, two ways.
 
-The direct route multiplies matrices; the indirect route recovers the same
-numbers from the characteristic coefficients via Newton's identities. Both
-are exact, and keeping both alive is the point: they cross-check each other
-in the test suite and in the CLI verification path.
+The direct route multiplies the matrix, scaled to integers, by itself; the
+indirect route recovers the same numbers from the characteristic
+coefficients via Newton's identities. Both are exact, and keeping both
+alive is the point: they cross-check each other in the test suite and in
+the CLI verification path.
 
 Newton's identities live here in both directions: elementary symmetric
 functions to power sums (the indirect route) and power sums to elementary
@@ -14,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .matrices import CharCoeffs, ExactMatrix
+from .matrices import CharCoeffs, ExactMatrix, integer_scaled
 from .models import MomentMatrix
 
 
@@ -43,16 +45,17 @@ def _as_square(matrix: MomentMatrix | ExactMatrix) -> ExactMatrix:
 
 
 def traces_by_power(matrix: MomentMatrix | ExactMatrix, count: int) -> TraceSequence:
-    """t_1..t_count by iterated exact multiplication."""
+    """t_1..t_count by iterated multiplication of the integer matrix M' = D M: t_k = tr(M'^k) / D^k."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    m = _as_square(matrix)
+    scale, m = integer_scaled(_as_square(matrix).entries)
+    columns = list(zip(*m))
     values = []
     power = m
-    for n in range(count):
-        if n > 0:
-            power = power @ m
-        values.append(power.trace())
+    for k in range(1, count + 1):
+        if k > 1:
+            power = [[sum(map(mul, row, column)) for column in columns] for row in power]
+        values.append(Fraction(sum(power[i][i] for i in range(len(power))), scale**k))
     return TraceSequence(tuple(values))
 
 

@@ -39,6 +39,19 @@ def random_psd(rng: Random, t: int) -> ExactMatrix:
     return b.transpose() @ b
 
 
+def integer_scaling_cases() -> dict[str, ExactMatrix]:
+    """Square matrices for the integer-scaled moment side, each with the case it covers."""
+    rng = Random(19)
+    mixed = [[Fraction(rng.randint(-9, 9), rng.choice((7, 9, 11))) for _ in range(4)] for _ in range(4)]
+    return {
+        "mixed-denominators-7-9-11": ExactMatrix.from_rows(mixed),
+        "symmetric-signed": random_symmetric(rng, 5),
+        "zero": ExactMatrix.from_rows([[0] * 3 for _ in range(3)]),
+        "one-by-one": ExactMatrix.from_rows([["-5/7"]]),
+        "already-integer": ExactMatrix.from_rows([[2, -1, 0], [4, 3, -6], [1, 0, 5]]),
+    }
+
+
 def random_prob_vector(rng: Random, k: int) -> tuple[Fraction, ...]:
     weights = [rng.randint(1, 9) for _ in range(k)]
     total = sum(weights)

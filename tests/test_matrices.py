@@ -5,10 +5,17 @@ from random import Random
 import pytest
 
 from gramexpect import ExactMatrix
-from gramexpect.matrices import gram, identity, leverrier_char_coeffs, matrix_from_json_str, matrix_to_json
+from gramexpect.matrices import (
+    gram,
+    identity,
+    integer_scaled,
+    leverrier_char_coeffs,
+    matrix_from_json_str,
+    matrix_to_json,
+)
 from gramexpect.scalars import canonical_json
 
-from conftest import random_matrix, random_symmetric
+from conftest import integer_scaling_cases, random_matrix, random_symmetric
 
 
 class TestExactMatrix:
@@ -103,6 +110,45 @@ class TestLeverrierCharCoeffs:
         for _ in range(15):
             m = random_symmetric(rng, rng.randint(1, 5))
             assert leverrier_char_coeffs(m)[1] == m.trace()
+
+
+def fraction_leverrier(matrix):
+    """Faddeev-LeVerrier in Fractions on the matrix as given: the reference for the integer-scaled chain."""
+    n = matrix.rows
+    coeffs, b = [Fraction(1)], identity(n)
+    for k in range(1, n + 1):
+        c = matrix @ b
+        raw = c.trace() / k
+        coeffs.append(raw if k % 2 == 1 else -raw)
+        b = ExactMatrix(tuple(tuple(c.entries[i][j] - (raw if i == j else 0) for j in range(n)) for i in range(n)))
+    return tuple(coeffs)
+
+
+class TestIntegerScaledLeverrier:
+    @pytest.mark.parametrize("case", integer_scaling_cases().items(), ids=lambda case: case[0])
+    def test_equals_the_fraction_chain(self, case):
+        _, m = case
+        values = leverrier_char_coeffs(m).values
+        assert values == fraction_leverrier(m)
+        assert all(type(v) is Fraction for v in values)
+
+    def test_random_rational_matrices(self):
+        rng = Random(21)
+        for _ in range(10):
+            m = random_matrix(rng, *(rng.randint(1, 5),) * 2)
+            assert leverrier_char_coeffs(m).values == fraction_leverrier(m)
+
+    def test_non_square_is_refused(self):
+        with pytest.raises(ValueError):
+            leverrier_char_coeffs(ExactMatrix.from_rows([[1, "1/2", 3], [0, 1, 2]]))
+
+    def test_integer_scaled(self):
+        cases = integer_scaling_cases()
+        scale, rows = integer_scaled(cases["mixed-denominators-7-9-11"].entries)
+        assert scale == 693 and all(type(v) is int for row in rows for v in row)
+        assert integer_scaled(cases["already-integer"].entries) == (1, ((2, -1, 0), (4, 3, -6), (1, 0, 5)))
+        assert integer_scaled([[Fraction(-5, 6), 2, Fraction(3, 4)]]) == (12, ((-10, 24, 9),))
+        assert integer_scaled([]) == (1, ())
 
 
 class TestMatrixJson:

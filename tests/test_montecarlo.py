@@ -41,13 +41,20 @@ from gramexpect.montecarlo import (
     SimulationReport,
     _aggregate,
     _char_coefficient_values,
+    _monomial_tables,
     _row_gram,
     _perm_coefficient_values,
     check_sampling_draws,
     perm_by_wick,
     perm_coefficient_op_cost,
 )
-from gramexpect.oracles import OP_BUDGET, char_poly_coeffs_of_gram, permanental_op_cost, permanental_poly_coeffs
+from gramexpect.oracles import (
+    OP_BUDGET,
+    char_poly_coeffs_of_gram,
+    perm_ryser,
+    permanental_op_cost,
+    permanental_poly_coeffs,
+)
 
 from conftest import random_atoms_distribution
 
@@ -142,6 +149,26 @@ def ryser_coefficients(columns, max_index):
     """d_1..d_max_index of the columns' Gram matrix by the Ryser oracle."""
     g = gram(ExactMatrix.from_rows(zip(*columns)))
     return permanental_poly_coeffs(g, max_index)[1:]
+
+
+def grouped_ryser_coefficients(columns, max_index):
+    """d_1..d_max_index by Ryser, once per multiset of distinct columns.
+
+    perm(G_S) depends only on the multiset of columns in S, and the i-subsets
+    taking s of a column that occurs c times number prod C(c, s), so few
+    distinct columns reach n far past the direct oracle's budget.
+    """
+    counts = Counter(columns)
+    distinct = list(counts)
+    values = []
+    for i in range(1, max_index + 1):
+        total = F(0)
+        for choice in combinations_with_replacement(range(len(distinct)), i):
+            weight = prod(comb(counts[distinct[k]], s) for k, s in Counter(choice).items())
+            if weight:
+                total += weight * perm_ryser(gram(ExactMatrix.from_rows(zip(*(distinct[k] for k in choice)))))
+        values.append(total)
+    return tuple(values)
 
 
 def integer_rows(rows):
@@ -300,6 +327,29 @@ class TestPermCoefficientValues:
             rng = Random(seed)
             assert_matches_ryser([tuple(rng.randint(0, 3) for _ in range(6)) for _ in range(8)], 6)
 
+    def test_band_trims_two_levels_at_i_6(self):
+        # t = 3, i = 6: levels 4 and 5 keep only their bands, not just the level under the top.
+        for seed in range(2):
+            rng = Random(seed)
+            assert_matches_ryser([tuple(rng.randint(-2, 3) for _ in range(3)) for _ in range(10)], 6)
+
+    @pytest.mark.parametrize("t, n", [(2, 30), (3, 14)])
+    def test_repeated_columns_through_the_trimmed_levels(self, t, n):
+        # Counts of 3 and more run chains from sources i - 2 and below through
+        # the banded levels 4 and 5, and through the half band under the top.
+        rng = Random(10 * t + n)
+        pool = [tuple(rng.randint(-2, 3) for _ in range(t)) for _ in range(4)]
+        columns = [pool[k] for k in (0, 1, 2, 3) for _ in range(3)]
+        columns += [rng.choice(pool) for _ in range(n - len(columns))]
+        rng.shuffle(columns)
+        assert len(columns) == n and min(Counter(columns).values()) >= 3
+        rows, scale = integer_rows(list(zip(*columns)))
+        assert unscaled(_perm_coefficient_values(rows, 6), scale) == grouped_ryser_coefficients(columns, 6)
+
+    def test_grouped_ryser_is_ryser(self):
+        columns = [(1, 2), (0, -1), (1, 2), (3, 1), (0, -1), (1, 2)]
+        assert grouped_ryser_coefficients(columns, 6) == ryser_coefficients(columns, 6)
+
     def test_frozen_paper_replicate_at_n_400(self):
         # Out of Ryser's reach; frozen from the dict-of-dicts expansion this kernel replaced.
         rows = sample_rows(paper_model(), 400, Random(derive_seed(0, 0)))
@@ -317,6 +367,40 @@ class TestPermCoefficientValues:
         column = st.sampled_from(pool + [(0,) * t])
         columns = data.draw(st.lists(column, min_size=n, max_size=n), label="columns")
         assert_matches_ryser(columns, max_index)
+
+
+class TestMonomialTables:
+    @staticmethod
+    def exponents(successors, t):
+        """The exponent vectors of each degree, in index order, rebuilt from the successor table."""
+        levels = [[(0,) * t]]
+        for succ in successors:
+            level = {q: p[:a] + (p[a] + 1,) + p[a + 1 :] for p, row in zip(levels[-1], succ) for a, q in enumerate(row)}
+            levels.append([level[q] for q in range(len(level))])
+        return levels
+
+    @pytest.mark.parametrize("t, max_index", [(1, 3), (3, 1), (2, 6), (3, 6), (4, 4), (5, 3)])
+    def test_bands_and_pairings_match_their_definition(self, t, max_index):
+        successors, bands, pairings, weights = _monomial_tables(t, max_index)
+        levels = self.exponents(successors, t)
+        assert weights == [[prod(map(factorial, q)) for q in level] for level in levels]
+        # Level k keeps the p2 within 2(i - k) unit moves of p, and at k = i - 1 only p2 >= p.
+        for k, monomials in enumerate(levels[:-1]):
+            for p, x in enumerate(monomials):
+                moves = [sum(abs(a - b) for a, b in zip(x, y)) for y in monomials]
+                kept = [p2 for p2, m in enumerate(moves) if m <= 2 * (max_index - k) and (k < max_index - 1 or p2 >= p)]
+                assert bands[k][p] == kept
+        # The top pairs (p, a) with every (p2, b), p2 >= p, that reaches the same q, twice off the diagonal.
+        below, top = successors[-1], weights[-1]
+        for p, row in enumerate(below):
+            for a, q in enumerate(row):
+                expected = [
+                    (bands[-1][p].index(p2), b, (1 if p2 == p else 2) * top[q])
+                    for p2 in range(p, len(below))
+                    for b in range(t)
+                    if below[p2][b] == q
+                ]
+                assert sorted(pairings[p][a]) == sorted(expected)
 
 
 def outcomes(model):

@@ -15,7 +15,7 @@ from gramexpect.matrices import CharCoeffs, identity, leverrier_char_coeffs
 from gramexpect.models import moment_matrix_multinomial
 from gramexpect.traces import integer_elementary_from_power_sums
 
-from conftest import random_matrix, random_psd, random_symmetric
+from conftest import integer_scaling_cases, random_matrix, random_psd, random_symmetric
 
 F = Fraction
 
@@ -30,7 +30,28 @@ PAPER_TRACES = (
 )
 
 
+def fraction_power_traces(matrix, count):
+    """tr(M^k) for k = 1..count by Fraction products of the matrix as given: the integer traces' reference."""
+    values, power = [], matrix
+    for k in range(count):
+        if k:
+            power = power @ matrix
+        values.append(power.trace())
+    return tuple(values)
+
+
 class TestTracesByPower:
+    @pytest.mark.parametrize("case", integer_scaling_cases().items(), ids=lambda case: case[0])
+    def test_integer_scaled_equals_fraction_products(self, case):
+        _, m = case
+        values = traces_by_power(m, 7).values
+        assert values == fraction_power_traces(m, 7)
+        assert all(type(v) is Fraction for v in values)
+
+    def test_non_square_is_refused(self):
+        with pytest.raises(ValueError):
+            traces_by_power(ExactMatrix.from_rows([["1/7", 2], [3, "4/9"], [5, 6]]), 3)
+
     def test_paper_trace_table(self):
         traces = traces_by_power(moment_matrix_multinomial(paper_model()), 7)
         assert traces.values == PAPER_TRACES
