@@ -178,7 +178,7 @@ def _render_matrix(output: str, matrix: ExactMatrix) -> str:
 
 
 def cmd_moments(args: argparse.Namespace) -> str:
-    return _render_matrix(args.output, moment_matrix(_load_model(args)).as_exact_matrix())
+    return _render_matrix(args.output, moment_matrix(_load_model(args)))
 
 
 # ----------------------------------------------------------------- traces
@@ -410,10 +410,10 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 def cmd_trend(args: argparse.Namespace) -> str:
     model = _load_model(args)
     try:
-        args.n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
+        args.n_list = [int(part) for part in args.n_list.split(",")]
     except ValueError:
         raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
-    check_sampling_draws(model, max(args.n_list, default=0), args.guard_ops)
+    check_sampling_draws(model, max(args.n_list), args.guard_ops)
     points = stddev_trend(
         model,
         args.n_list,

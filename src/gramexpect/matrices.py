@@ -11,7 +11,8 @@ in ``traces`` multiply that integer matrix and divide by D^k once per
 result, and the atoms model scales its atom vectors the same way.
 
 Also home to the characteristic-coefficient computation, since both the
-moment-matrix closed forms and the Gram-matrix oracles need it.
+moment-matrix closed forms and the Gram-matrix oracles need it. A moment
+matrix is an ``ExactMatrix`` too: ``models.MomentMatrix`` only adds its checks.
 """
 
 from __future__ import annotations

@@ -160,10 +160,8 @@ Model = DiscreteVectorDistribution | MultinomialCountModel | CompoundCountModel
 
 
 @dataclass(frozen=True)
-class MomentMatrix:
-    """Second-moment matrix E(w w^T): symmetric with nonnegative diagonal."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
+class MomentMatrix(ExactMatrix):
+    """Second-moment matrix E(w w^T): an ``ExactMatrix`` checked symmetric with nonnegative diagonal."""
 
     def __post_init__(self) -> None:
         t = len(self.entries)
@@ -177,19 +175,12 @@ class MomentMatrix:
                     raise InvalidModelError(f"moment matrix not symmetric at ({i},{j})")
         # Necessary PSD condition: every sign-adjusted characteristic
         # coefficient of a second-moment matrix is nonnegative.
-        coeffs = leverrier_char_coeffs(ExactMatrix(self.entries))
+        coeffs = leverrier_char_coeffs(self)
         for i, c in enumerate(coeffs.values):
             if c < 0:
                 raise InvalidModelError(
                     f"not a valid moment matrix: characteristic coefficient c_{i} = {c} < 0"
                 )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.entries)
-
-    def as_exact_matrix(self) -> ExactMatrix:
-        return ExactMatrix(self.entries)
 
 
 def moment_matrix_from_atoms(dist: DiscreteVectorDistribution) -> MomentMatrix:

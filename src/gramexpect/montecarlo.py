@@ -538,9 +538,9 @@ def stddev_trend(
     One simulate run per n, each on its own derived seed stream, and one
     ``_map_replicates`` call for the replicates of every n, so a trend
     starts its child processes once. ``kind`` must be det or perm; a
-    combined trajectory has no meaning here. Every n is validated, and a
-    permanental run costed at its largest n, before the first point is
-    computed.
+    combined trajectory has no meaning here. Every n is validated, and its
+    permanental path costed by ``_replicate_work``, before the first point
+    is computed; a refusal names the smallest n over budget.
     """
     if kind not in ("det", "perm"):
         raise ValueError(f'trend kind must be "det" or "perm", got {kind!r}')
@@ -556,10 +556,6 @@ def stddev_trend(
         SimulationConfig(model=model, n=n, reps=reps, max_index=index, kind=kind, seed=derive_seed(seed, n))
         for n in n_list
     ]
-    if kind == "perm":
-        # Both permanental cost models grow with n, so costing the largest n
-        # refuses, before any work, exactly the runs a later point would.
-        perm_by_wick(n_list[-1], model.t, index, op_budget)
     work = [args for config in configs for args in _replicate_work(config, op_budget)]
     results = iter(_map_replicates(threads, work))
     return [

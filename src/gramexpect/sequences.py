@@ -33,8 +33,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .matrices import CharCoeffs, leverrier_char_coeffs
-from .models import MomentMatrix
+from .matrices import CharCoeffs, ExactMatrix, leverrier_char_coeffs
 from .series import TruncatedSeries
 from .traces import TraceSequence
 
@@ -75,14 +74,14 @@ class ExpectedSequence:
         return len(self.values) - 1
 
 
-def char_coeffs(moment: MomentMatrix) -> CharCoeffs:
+def char_coeffs(moment: ExactMatrix) -> CharCoeffs:
     """Sign-adjusted characteristic coefficients of M.
 
     det(lambda I - M) = c_0 lambda^t - c_1 lambda^(t-1) + c_2 lambda^(t-2) - ...
     with c_0 = 1; c_i is the sum of the i x i principal minors, and c_t is
     det(M). All c_i >= 0 is a necessary condition for M to be PSD.
     """
-    return leverrier_char_coeffs(moment.as_exact_matrix())
+    return leverrier_char_coeffs(moment)
 
 
 def _expectation_recursion(traces: TraceSequence, count: int, signed: bool) -> tuple[Fraction, ...]:

@@ -1,4 +1,4 @@
-"""Power traces t_n = trace(M^n) of a moment matrix, two ways.
+"""Power traces t_n = trace(M^n) of a square ``ExactMatrix``, such as a moment matrix, two ways.
 
 The direct route multiplies the matrix, scaled to integers, by itself; the
 indirect route recovers the same numbers from the characteristic
@@ -19,7 +19,6 @@ from operator import mul
 from typing import Sequence
 
 from .matrices import CharCoeffs, ExactMatrix, integer_scaled
-from .models import MomentMatrix
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,13 @@ class TraceSequence:
         return self.values[n - 1]
 
 
-def _as_square(matrix: MomentMatrix | ExactMatrix) -> ExactMatrix:
-    m = matrix.as_exact_matrix() if isinstance(matrix, MomentMatrix) else matrix
-    if not m.is_square:
-        raise ValueError("traces require a square matrix")
-    return m
-
-
-def traces_by_power(matrix: MomentMatrix | ExactMatrix, count: int) -> TraceSequence:
+def traces_by_power(matrix: ExactMatrix, count: int) -> TraceSequence:
     """t_1..t_count by iterated multiplication of the integer matrix M' = D M: t_k = tr(M'^k) / D^k."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    scale, m = integer_scaled(_as_square(matrix).entries)
+    if not matrix.is_square:
+        raise ValueError("traces require a square matrix")
+    scale, m = integer_scaled(matrix.entries)
     columns = list(zip(*m))
     values = []
     power = m

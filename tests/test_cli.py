@@ -179,7 +179,7 @@ class TestExpect:
 class TestMoments:
     def test_json_matches_library(self):
         proc = run_cli("moments", "--paper", "--output", "json")
-        expected = canonical_json(matrix_to_json(moment_matrix(paper_model()).as_exact_matrix())) + "\n"
+        expected = canonical_json(matrix_to_json(moment_matrix(paper_model()))) + "\n"
         assert proc.stdout == expected
 
     def test_json_round_trips_through_oracle(self, tmp_path):
@@ -462,6 +462,13 @@ class TestTrendCommand:
     def test_bad_n_list_exits_2(self):
         proc = run_cli("trend", "--paper", "--n-list", "6,4", "--reps", "2")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("n_list", ["4,,8", "4,8,"])
+    def test_empty_n_list_element_exits_2(self, capsys, n_list):
+        assert cli.main(["trend", "--paper", "--n-list", n_list, "--reps", "3", "--index", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--n-list must be comma-separated integers, got {n_list!r}" in captured.err
 
     def test_one_replicate_exits_2(self, capsys):
         # One replicate has no sample standard deviation to print.

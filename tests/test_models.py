@@ -1,7 +1,9 @@
+import ast
 import pickle
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,7 +18,7 @@ from gramexpect import (
     moment_matrix,
     paper_model,
 )
-from gramexpect import models
+from gramexpect import ExactMatrix, models
 from gramexpect.models import (
     CategoricalSampler,
     MomentMatrix,
@@ -109,14 +111,14 @@ class TestMomentMatrixFromAtoms:
         for _ in range(25):
             dist = random_atoms_distribution(rng, rng.randint(1, 4), rng.randint(1, 4))
             m = moment_matrix_from_atoms(dist)
-            assert m.as_exact_matrix() == m.as_exact_matrix().transpose()
+            assert m.entries == m.transpose().entries
 
 
 class TestMomentMatrixMultinomial:
     def test_paper_entry_and_trace(self):
         m = moment_matrix_multinomial(paper_model())
         assert m.entries == PAPER_MOMENTS
-        assert m.as_exact_matrix().trace() == F(565, 16)
+        assert m.trace() == F(565, 16)
 
     def test_ell_one_is_diagonal(self):
         m = moment_matrix_multinomial(MultinomialCountModel(ell=1, probs=(F(1, 4), F(3, 4))))
@@ -127,7 +129,7 @@ class TestMomentMatrixMultinomial:
     def test_trace_identity(self, probs, ell):
         m = moment_matrix_multinomial(MultinomialCountModel(ell=ell, probs=probs))
         expected = ell * (ell - 1) * sum(p * p for p in probs) + ell
-        assert m.as_exact_matrix().trace() == expected
+        assert m.trace() == expected
 
 
 class TestMomentMatrixCompound:
@@ -161,6 +163,33 @@ class TestMomentMatrixCompound:
                 for j in range(len(probs)):
                     expected = law[0] * parts[0].entries[i][j] + law[1] * parts[1].entries[i][j]
                     assert mixed.entries[i][j] == expected
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The top-level gramexpect modules a parsed module imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("gramexpect")):
+            module = (node.module or "").removeprefix("gramexpect").strip(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.removeprefix("gramexpect.") for a in node.names if a.name.startswith("gramexpect."))
+    return {name.split(".")[0] for name in found}
+
+
+class TestExactCore:
+    def test_imports_nothing_above_it(self):
+        # The exact core takes a matrix: it must not reach the models, the sampler, the oracles or the CLI.
+        package = Path(models.__file__).parent
+        for name in ("matrices", "scalars", "series", "traces", "sequences"):
+            tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+            assert not _package_imports(tree) & {"models", "montecarlo", "oracles", "cli"}, name
+
+    def test_every_moment_matrix_is_an_exact_matrix(self):
+        atoms = DiscreteVectorDistribution.from_pairs([((1, 1), "1/3"), ((2, 0), "2/3")])
+        compound = CompoundCountModel(probs=(F(1, 2), F(1, 2)), ell_law=((1, F(1, 2)), (2, F(1, 2))))
+        for model in (atoms, paper_model(), compound):
+            assert isinstance(moment_matrix(model), ExactMatrix)
 
 
 class _FixedBits:
