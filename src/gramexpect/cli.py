@@ -56,7 +56,6 @@ from .oracles import (
 )
 from .scalars import canonical_json, decimal_string, format_float, format_rational
 from .sequences import (
-    char_coeffs,
     det_sequence_from_char,
     egf_expand_det,
     egf_expand_perm,
@@ -192,7 +191,7 @@ def cmd_traces(args: argparse.Namespace) -> str:
     traces = traces_by_power(matrix, args.terms)
     # Silent cross-check through Newton's identities; a disagreement here
     # means a real bug, and exit code 1 reports it as such.
-    recovered = traces_from_char_coeffs(char_coeffs(matrix), args.terms)
+    recovered = traces_from_char_coeffs(matrix.char_coeffs, args.terms)
     if traces.values != recovered.values:
         raise VerificationMismatch(
             "trace mismatch between the power route and Newton's identities"
@@ -206,40 +205,34 @@ def cmd_traces(args: argparse.Namespace) -> str:
 
 
 def _expect_sequences(model: Model, terms: int, kind: str, path: str) -> dict[str, tuple]:
+    """Each kind's a_n or p_n by the routes ``path`` selects; under "all" every route must equal the recursion."""
     matrix = moment_matrix(model)
-    traces = traces_by_power(matrix, terms)
-    coeffs = char_coeffs(matrix)
+    traces, coeffs = traces_by_power(matrix, terms), matrix.char_coeffs
+    # Thunks look their functions up here when they run, so bench/run.py's hooks see the calls.
+    routes = {
+        "det": {
+            "recursion": lambda: expected_det_recursion(traces, terms),
+            "char": lambda: det_sequence_from_char(coeffs, terms),
+            "egf": lambda: egf_expand_det(traces, terms),
+        },
+        "perm": {
+            "recursion": lambda: expected_perm_recursion(traces, terms),
+            "char": lambda: expected_perm_from_char(coeffs, terms),
+            "egf": lambda: egf_expand_perm(traces, terms),
+        },
+    }
     out: dict[str, tuple] = {}
-    kinds = ("det", "perm") if kind == "both" else (kind,)
-    for k in kinds:
-        if k == "det":
-            routes = {
-                "recursion": lambda: expected_det_recursion(traces, terms),
-                "char": lambda: det_sequence_from_char(coeffs, terms),
-                "egf": lambda: egf_expand_det(traces, terms),
-            }
-        else:
-            routes = {
-                "recursion": lambda: expected_perm_recursion(traces, terms),
-                "char": lambda: expected_perm_from_char(coeffs, terms),
-                "egf": lambda: egf_expand_perm(traces, terms),
-            }
-        if path == "all":
-            computed = {name: fn().values for name, fn in routes.items()}
-            reference = computed["recursion"]
-            for name, values in computed.items():
-                if values != reference:
-                    first_bad = next(
-                        n for n, (a, b) in enumerate(zip(reference, values)) if a != b
-                    )
-                    raise VerificationMismatch(
-                        f"{k} paths disagree: recursion vs {name} first differ at "
-                        f"n = {first_bad} ({format_rational(reference[first_bad])} vs "
-                        f"{format_rational(values[first_bad])})"
-                    )
-            out[k] = reference
-        else:
-            out[k] = routes[path]().values
+    for k in ("det", "perm") if kind == "both" else (kind,):
+        computed = {name: run().values for name, run in routes[k].items() if path in (name, "all")}
+        reference = out[k] = next(iter(computed.values()))
+        for name, values in computed.items():
+            if values != reference:
+                first_bad = next(n for n, (a, b) in enumerate(zip(reference, values)) if a != b)
+                raise VerificationMismatch(
+                    f"{k} paths disagree: recursion vs {name} first differ at "
+                    f"n = {first_bad} ({format_rational(reference[first_bad])} vs "
+                    f"{format_rational(values[first_bad])})"
+                )
     return out
 
 

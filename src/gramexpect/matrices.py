@@ -69,19 +69,9 @@ class ExactMatrix:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
         )
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace requires a square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
     def submatrix(self, keep: Sequence[int]) -> "ExactMatrix":
         """Principal submatrix on the given row/column indices."""
         return ExactMatrix(tuple(tuple(self.entries[i][j] for j in keep) for i in keep))
-
-
-def identity(size: int) -> ExactMatrix:
-    one, zero = Fraction(1), Fraction(0)
-    return ExactMatrix(tuple(tuple(one if i == j else zero for j in range(size)) for i in range(size)))
 
 
 def gram(columns_matrix: ExactMatrix) -> ExactMatrix:
@@ -166,4 +156,7 @@ def matrix_from_json(obj: object) -> ExactMatrix:
 
 
 def matrix_from_json_str(text: str) -> ExactMatrix:
-    return matrix_from_json(json.loads(text))
+    try:
+        return matrix_from_json(json.loads(text))
+    except RecursionError:
+        raise ValueError("matrix file nests JSON too deeply to parse") from None

@@ -161,7 +161,10 @@ Model = DiscreteVectorDistribution | MultinomialCountModel | CompoundCountModel
 
 @dataclass(frozen=True)
 class MomentMatrix(ExactMatrix):
-    """Second-moment matrix E(w w^T): an ``ExactMatrix`` checked symmetric with nonnegative diagonal."""
+    """Second-moment matrix E(w w^T): an ``ExactMatrix`` checked symmetric with nonnegative diagonal.
+
+    ``char_coeffs`` keeps the ``CharCoeffs`` that the check computes, so Leverrier runs once per matrix.
+    """
 
     def __post_init__(self) -> None:
         t = len(self.entries)
@@ -181,6 +184,7 @@ class MomentMatrix(ExactMatrix):
                 raise InvalidModelError(
                     f"not a valid moment matrix: characteristic coefficient c_{i} = {c} < 0"
                 )
+        object.__setattr__(self, "char_coeffs", coeffs)
 
 
 def moment_matrix_from_atoms(dist: DiscreteVectorDistribution) -> MomentMatrix:
@@ -426,4 +430,6 @@ def model_from_json_str(text: str) -> Model:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidModelError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InvalidModelError("model file nests JSON too deeply to parse") from None
     return model_from_dict(obj)

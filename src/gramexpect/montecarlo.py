@@ -14,9 +14,10 @@ Two contracts shape the implementation:
   too, by a Wick expansion kept as one row-sparse matrix per degree over
   that degree's monomials, each row cut to the band of entries that can
   still reach a diagonal, at a cost linear in n at fixed t and max_index.
-  Both kernels run in ints on rows that the model has scaled by its D, and
-  each replicate divides coefficient i by D^(2i) once. No floating-point
-  fallback exists, and the report's mode field says so.
+  Both kernels run in ints on rows that the model has scaled by its D, a
+  replicate returns those ints, and the report divides coefficient i by
+  C(n, i) D^(2i) once, in the calling process. No floating-point fallback
+  exists, and the report's mode field says so.
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
   results in index order. Reports are therefore byte-identical no matter
@@ -38,7 +39,8 @@ from math import comb, factorial, prod, sqrt
 from operator import add, mul
 from random import Random
 
-# sample_vector is no longer called here but stays importable from this module.
+# sample_vector is not called here; it stays because bench/run.py hooks this name for
+# its models.sample_vector span, until ROADMAP item 1 or 5 repoints the hooks.
 from .models import Model, column_draws, moment_matrix, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
@@ -139,7 +141,11 @@ class SimulationReport:
 
 
 def _gram_entries(rows: list) -> ExactMatrix:
-    """The Gram matrix A^T A of the rows of A, by ``matrices.gram``."""
+    """The Gram matrix A^T A of the rows of A, by ``matrices.gram``.
+
+    Its own name because bench/run.py hooks it for its montecarlo.gram span,
+    until ROADMAP item 1 or 5 repoints the hooks.
+    """
     return gram(ExactMatrix.from_rows(rows))
 
 
@@ -385,35 +391,33 @@ def _perm_coefficient_values(rows: list, max_index: int) -> tuple[int, ...]:
     return tuple(diagonal) + (top,)
 
 
-def _replicate_worker(args: tuple) -> tuple[tuple[Fraction, ...], ...]:
-    """One replicate from one draw of A: each kind's values on its D-scaled rows, value i over D^(2i)."""
+def _replicate_worker(args: tuple) -> tuple[tuple[int, ...], ...]:
+    """One replicate from one draw of A: each kind's ints on its D-scaled rows, value i times D^(2i)."""
     model, n, max_index, kinds, wick, op_budget, stream_seed = args
     rows = sample_rows(model, n, Random(stream_seed))
     values = []
     for kind in kinds:
         if kind == "det":
-            scaled = _char_coefficient_values(rows, max_index)
+            values.append(_char_coefficient_values(rows, max_index))
         elif wick:
-            scaled = _perm_coefficient_values(rows, max_index)
+            values.append(_perm_coefficient_values(rows, max_index))
         else:
-            scaled = permanental_poly_coeffs(_gram_entries(rows), max_index, op_budget=op_budget)[1:]
-        values.append(tuple(Fraction(v, model.scale ** (2 * i)) for i, v in enumerate(scaled, start=1)))
+            coeffs = permanental_poly_coeffs(_gram_entries(rows), max_index, op_budget=op_budget)
+            values.append(tuple(v.numerator for v in coeffs[1:]))  # whole: the Gram matrix is integer
     return tuple(values)
 
 
 def _aggregate(
-    raw_rows: Sequence[tuple[Fraction, ...]], n: int, exact_seq: ExpectedSequence
+    rows: Sequence[tuple[int, ...]], divisors: Sequence[int], exact_seq: ExpectedSequence
 ) -> tuple[CoefficientStats, ...]:
-    """Statistics of the values over C(n, i) from S1 = sum v and S2 = sum v^2, in ints if all are.
+    """Statistics of the int values over their divisors C, from S1 = sum v and S2 = sum v^2.
 
     mean = S1 / (reps C), variance = (reps S2 - S1^2) / (reps (reps - 1) C^2).
     """
-    reps = len(raw_rows)
+    reps = len(rows)
     stats = []
-    for i, values in enumerate(zip(*raw_rows), start=1):
-        if all(v.denominator == 1 for v in values):
-            values = [v.numerator for v in values]
-        s1, s2, c = sum(values), sum(map(mul, values, values)), comb(n, i)
+    for i, (values, c) in enumerate(zip(zip(*rows), divisors), start=1):
+        s1, s2 = sum(values), sum(map(mul, values, values))
         mean, exact = Fraction(s1, reps * c), exact_seq[i]
         try:
             stddev = sqrt(float(Fraction(reps * s2 - s1 * s1, reps * (reps - 1) * c * c))) if reps > 1 else None
@@ -505,11 +509,14 @@ def _report(config: SimulationConfig, results: list) -> SimulationReport:
     kinds = config.kinds
     traces = traces_by_power(moment_matrix(config.model), config.max_index)
     recursions = {"det": expected_det_recursion, "perm": expected_perm_recursion}
-    raw = dict(zip(kinds, zip(*results)))
+    scales = [config.model.scale ** (2 * i) for i in range(1, config.max_index + 1)]
+    divisors = [comb(config.n, i) * scale for i, scale in enumerate(scales, start=1)]
+    values = dict(zip(kinds, zip(*results)))
     stats = {
-        kind: _aggregate(raw[kind], config.n, recursions[kind](traces, config.max_index))
+        kind: _aggregate(values[kind], divisors, recursions[kind](traces, config.max_index))
         for kind in kinds
     }
+    raw = {kind: tuple(tuple(map(Fraction, row, scales)) for row in values[kind]) for kind in kinds}
     return SimulationReport(
         n=config.n,
         reps=config.reps,

@@ -23,6 +23,14 @@ def random_matrix(rng: Random, rows: int, cols: int, rational: bool = True) -> E
     return ExactMatrix.from_rows(data)
 
 
+def identity_matrix(size: int) -> ExactMatrix:
+    return ExactMatrix.from_rows([[int(i == j) for j in range(size)] for i in range(size)])
+
+
+def diagonal_sum(matrix: ExactMatrix) -> Fraction:
+    return sum((matrix.entries[i][i] for i in range(matrix.rows)), Fraction(0))
+
+
 def random_symmetric(rng: Random, t: int) -> ExactMatrix:
     data = [[Fraction(0)] * t for _ in range(t)]
     for i in range(t):

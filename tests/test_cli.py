@@ -92,6 +92,14 @@ class TestBasics:
         assert proc.returncode == 2
         assert "invalid model" in proc.stderr
 
+    def test_deeply_nested_model_file_exits_2(self, tmp_path):
+        # json's RecursionError used to end in a traceback and exit 1, the mismatch code.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        proc = run_cli("expect", "--model", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "gramexpect: invalid model: model file nests JSON too deeply to parse\n"
+
 
 class TestTraces:
     def test_paper_json_is_frozen(self):
@@ -325,6 +333,13 @@ class TestOracleCommand:
         path.write_text("{not json")
         proc = run_cli("oracle", "ryser", "--matrix", str(path))
         assert proc.returncode == 2
+
+    def test_deeply_nested_matrix_file_exits_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"rows": ' + "[" * 100_000)
+        proc = run_cli("oracle", "gram", "--matrix", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "gramexpect: matrix file nests JSON too deeply to parse\n"
 
 
 class TestSimulate:

@@ -7,7 +7,6 @@ import pytest
 from gramexpect import ExactMatrix
 from gramexpect.matrices import (
     gram,
-    identity,
     integer_scaled,
     leverrier_char_coeffs,
     matrix_from_json_str,
@@ -15,7 +14,7 @@ from gramexpect.matrices import (
 )
 from gramexpect.scalars import canonical_json
 
-from conftest import integer_scaling_cases, random_matrix, random_symmetric
+from conftest import diagonal_sum, identity_matrix, integer_scaling_cases, random_matrix, random_symmetric
 
 
 class TestExactMatrix:
@@ -53,11 +52,6 @@ class TestExactMatrix:
         with pytest.raises(ValueError):
             a @ a
 
-    def test_trace(self):
-        assert ExactMatrix.from_rows([[1, 9], [9, "1/2"]]).trace() == Fraction(3, 2)
-        with pytest.raises(ValueError):
-            ExactMatrix.from_rows([[1, 2, 3]]).trace()
-
     def test_submatrix_principal(self):
         m = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
         assert m.submatrix((0, 2)).entries == ((Fraction(1), Fraction(3)), (Fraction(7), Fraction(9)))
@@ -65,7 +59,7 @@ class TestExactMatrix:
 
 class TestGram:
     def test_identity_columns(self):
-        assert gram(identity(2)).entries == identity(2).entries
+        assert gram(identity_matrix(2)).entries == identity_matrix(2).entries
 
     def test_hand_dot_products(self):
         a = ExactMatrix.from_rows([[1, 2], [3, 4]])
@@ -93,7 +87,7 @@ class TestLeverrierCharCoeffs:
         from math import comb
 
         for t in (1, 2, 3, 5):
-            coeffs = leverrier_char_coeffs(identity(t))
+            coeffs = leverrier_char_coeffs(identity_matrix(t))
             assert coeffs.values == tuple(Fraction(comb(t, i)) for i in range(t + 1))
 
     def test_diagonal_elementary_symmetric(self):
@@ -109,16 +103,16 @@ class TestLeverrierCharCoeffs:
         rng = Random(11)
         for _ in range(15):
             m = random_symmetric(rng, rng.randint(1, 5))
-            assert leverrier_char_coeffs(m)[1] == m.trace()
+            assert leverrier_char_coeffs(m)[1] == diagonal_sum(m)
 
 
 def fraction_leverrier(matrix):
     """Faddeev-LeVerrier in Fractions on the matrix as given: the reference for the integer-scaled chain."""
     n = matrix.rows
-    coeffs, b = [Fraction(1)], identity(n)
+    coeffs, b = [Fraction(1)], identity_matrix(n)
     for k in range(1, n + 1):
         c = matrix @ b
-        raw = c.trace() / k
+        raw = diagonal_sum(c) / k
         coeffs.append(raw if k % 2 == 1 else -raw)
         b = ExactMatrix(tuple(tuple(c.entries[i][j] - (raw if i == j else 0) for j in range(n)) for i in range(n)))
     return tuple(coeffs)

@@ -33,7 +33,7 @@ from gramexpect.models import (
 )
 from gramexpect.scalars import canonical_json
 
-from conftest import random_atoms_distribution, random_prob_vector
+from conftest import diagonal_sum, random_atoms_distribution, random_prob_vector
 
 F = Fraction
 
@@ -118,7 +118,7 @@ class TestMomentMatrixMultinomial:
     def test_paper_entry_and_trace(self):
         m = moment_matrix_multinomial(paper_model())
         assert m.entries == PAPER_MOMENTS
-        assert m.trace() == F(565, 16)
+        assert diagonal_sum(m) == F(565, 16)
 
     def test_ell_one_is_diagonal(self):
         m = moment_matrix_multinomial(MultinomialCountModel(ell=1, probs=(F(1, 4), F(3, 4))))
@@ -129,7 +129,7 @@ class TestMomentMatrixMultinomial:
     def test_trace_identity(self, probs, ell):
         m = moment_matrix_multinomial(MultinomialCountModel(ell=ell, probs=probs))
         expected = ell * (ell - 1) * sum(p * p for p in probs) + ell
-        assert m.trace() == expected
+        assert diagonal_sum(m) == expected
 
 
 class TestMomentMatrixCompound:

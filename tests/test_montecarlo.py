@@ -429,7 +429,8 @@ class TestExactAverages:
     """E(b_i) = C(n,i) a_i and E(d_i) = C(n,i) p_i exactly, summed over every column multiset of n draws.
 
     A multiset with counts c_k of the outcomes has probability n! prod p_k^c_k / c_k!. Its rows, D
-    times its columns as ``sample_rows`` gives them, go through the real ``_replicate_worker``.
+    times its columns as ``sample_rows`` gives them, go through the real ``_replicate_worker``, whose
+    ints are D^(2i) times the values.
     """
 
     # Ryser at n = 8 takes about 5 s a model, so only the Wick path runs there.
@@ -452,7 +453,7 @@ class TestExactAverages:
         traces = traces_by_power(moment_matrix(model), n)
         exact = {"det": expected_det_recursion(traces, n), "perm": expected_perm_recursion(traces, n)}
         for kind in ("det", "perm"):
-            assert sums[kind] == [comb(n, i) * exact[kind][i] for i in range(1, n + 1)]
+            assert sums[kind] == [comb(n, i) * model.scale ** (2 * i) * exact[kind][i] for i in range(1, n + 1)]
 
 
 class TestConfigValidation:
@@ -611,20 +612,23 @@ def reference_aggregate(raw_rows, n, max_index, exact_seq):
 
 
 class TestAggregation:
+    # Replicate ints and the model's scale D: the values are v_i / D^(2i).
     @pytest.mark.parametrize(
-        "raw_rows",
+        "rows, scale",
         [
-            [(F(v), F(v * v - 3)) for v in (17, 4, 250, 9, 33, 0, 12)],
-            [(F(v, 3), F(-v, 7)) for v in (1, 5, 2, 8, 13)],
-            [(F(1, 2), F(4)), (F(7), F(4)), (F(-3, 4), F(-8))],
-            [(F(12), F(1, 9))],
-            [(F(6), F(5, 2))] * 4,
+            ([(v, v * v - 3) for v in (17, 4, 250, 9, 33, 0, 12)], 1),
+            ([(v, -v) for v in (1, 5, 2, 8, 13)], 3),
+            ([(2, 64), (28, 64), (-3, -128)], 2),
+            ([(12, 7)], 3),
+            ([(17, -3), (4, 250)], 1),
+            ([(24, 40)] * 4, 2),
         ],
-        ids=["ints", "denominators", "mixed", "one-replicate", "constant"],
+        ids=["ints", "denominators", "mixed", "one-replicate", "two-replicates", "constant"],
     )
-    def test_exact_sums_equal_the_fraction_formula(self, raw_rows):
+    def test_exact_sums_equal_the_fraction_formula(self, rows, scale):
         exact_seq = [F(1), F(11, 2), F(-3)]
-        stats = _aggregate(raw_rows, 7, exact_seq)
+        raw_rows = [tuple(F(v, scale ** (2 * i)) for i, v in enumerate(row, start=1)) for row in rows]
+        stats = _aggregate(rows, [comb(7, i) * scale ** (2 * i) for i in (1, 2)], exact_seq)
         report = SimulationReport(
             n=7, reps=len(raw_rows), seed=0, max_index=2, kind="det", mode="exact",
             stats={"det": stats}, raw={"det": tuple(raw_rows)},
