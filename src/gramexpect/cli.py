@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import time
@@ -82,17 +81,18 @@ def _env(name: str) -> str | None:
 
 
 # The integer flags a command may take, each defaulted by GRAMEXPECT_<DEST>:
-# metavar, fallback and minimum.
+# metavar, fallback, minimum and maximum (None for none). The decimals maximum
+# keeps renderings cheap and under CPython's 4300-digit int-to-str limit.
 INT_FLAGS = {
-    "decimals": ("K", 2, 0),
-    "seed": ("S", 0, 0),
-    "threads": ("W", 1, 1),
-    "guard_ops": ("B", OP_BUDGET, 1),
+    "decimals": ("K", 2, 0, 1000),
+    "seed": ("S", 0, 0, None),
+    "threads": ("W", 1, 1, None),
+    "guard_ops": ("B", OP_BUDGET, 1, None),
 }
 
 
 def _resolve_int(args: argparse.Namespace, dest: str) -> int:
-    _, fallback, minimum = INT_FLAGS[dest]
+    _, fallback, minimum, maximum = INT_FLAGS[dest]
     value = getattr(args, dest)
     if value is None:
         raw = _env(dest.upper())
@@ -105,6 +105,8 @@ def _resolve_int(args: argparse.Namespace, dest: str) -> int:
                 raise ValueError(f"{ENV_PREFIX}{dest.upper()} must be an integer, got {raw!r}")
     if value < minimum:
         raise ValueError(f"{dest.replace('_', '-')} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{dest.replace('_', '-')} must be <= {maximum}, got {value}")
     return value
 
 
@@ -142,13 +144,6 @@ def _load_model(args: argparse.Namespace) -> Model:
     return model
 
 
-def _load_matrix(args: argparse.Namespace) -> ExactMatrix:
-    try:
-        return matrix_from_json_str(_read_file(args.matrix))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"matrix file is not valid JSON: {exc}")
-
-
 def _render(output: str, body: object, headers: list[str] | None, rows: Iterable[list[str]]) -> str:
     """The stdout payload of every command.
 
@@ -183,20 +178,30 @@ def cmd_moments(args: argparse.Namespace) -> str:
 # ----------------------------------------------------------------- traces
 
 
+def _agreed(what: str, first: int, computed: dict[str, tuple]) -> tuple:
+    """The first route's values; a route that differs raises, naming the first differing n (``first`` + index)."""
+    (reference_name, reference), *others = computed.items()
+    for name, values in others:
+        if values != reference:
+            k = next(k for k, (a, b) in enumerate(zip(reference, values)) if a != b)
+            raise VerificationMismatch(
+                f"{what} paths disagree: {reference_name} vs {name} first differ at "
+                f"n = {first + k} ({format_rational(reference[k])} vs {format_rational(values[k])})"
+            )
+    return reference
+
+
 def cmd_traces(args: argparse.Namespace) -> str:
     model = _load_model(args)
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
     matrix = moment_matrix(model)
-    traces = traces_by_power(matrix, args.terms)
-    # Silent cross-check through Newton's identities; a disagreement here
-    # means a real bug, and exit code 1 reports it as such.
-    recovered = traces_from_char_coeffs(matrix.char_coeffs, args.terms)
-    if traces.values != recovered.values:
-        raise VerificationMismatch(
-            "trace mismatch between the power route and Newton's identities"
-        )
-    strings = [format_rational(v) for v in traces.values]
+    # Silent cross-check through Newton's identities: a disagreement is a real bug, reported by exit code 1.
+    traces = _agreed("trace", 1, {
+        "power": traces_by_power(matrix, args.terms).values,
+        "newton": traces_from_char_coeffs(matrix.char_coeffs, args.terms).values,
+    })
+    strings = [format_rational(v) for v in traces]
     rows = ([str(i), s] for i, s in enumerate(strings, start=1))
     return _render(args.output, {"t": strings}, ["n", "trace"], rows)
 
@@ -221,19 +226,10 @@ def _expect_sequences(model: Model, terms: int, kind: str, path: str) -> dict[st
             "egf": lambda: egf_expand_perm(traces, terms),
         },
     }
-    out: dict[str, tuple] = {}
-    for k in ("det", "perm") if kind == "both" else (kind,):
-        computed = {name: run().values for name, run in routes[k].items() if path in (name, "all")}
-        reference = out[k] = next(iter(computed.values()))
-        for name, values in computed.items():
-            if values != reference:
-                first_bad = next(n for n, (a, b) in enumerate(zip(reference, values)) if a != b)
-                raise VerificationMismatch(
-                    f"{k} paths disagree: recursion vs {name} first differ at "
-                    f"n = {first_bad} ({format_rational(reference[first_bad])} vs "
-                    f"{format_rational(values[first_bad])})"
-                )
-    return out
+    return {
+        k: _agreed(k, 0, {name: run().values for name, run in routes[k].items() if path in (name, "all")})
+        for k in (("det", "perm") if kind == "both" else (kind,))
+    }
 
 
 def cmd_expect(args: argparse.Namespace) -> str:
@@ -322,7 +318,7 @@ def _oracle_payload(output: str, name: str, result: object) -> str:
 
 def cmd_oracle(args: argparse.Namespace) -> str:
     if hasattr(args, "matrix"):
-        source = _load_matrix(args)
+        source = matrix_from_json_str(_read_file(args.matrix))
         args.matrix = matrix_to_json(source)
     else:
         source = _load_model(args)

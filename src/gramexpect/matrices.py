@@ -158,5 +158,7 @@ def matrix_from_json(obj: object) -> ExactMatrix:
 def matrix_from_json_str(text: str) -> ExactMatrix:
     try:
         return matrix_from_json(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"matrix file is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError("matrix file nests JSON too deeply to parse") from None

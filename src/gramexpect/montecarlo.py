@@ -15,9 +15,9 @@ Two contracts shape the implementation:
   that degree's monomials, each row cut to the band of entries that can
   still reach a diagonal, at a cost linear in n at fixed t and max_index.
   Both kernels run in ints on rows that the model has scaled by its D, a
-  replicate returns those ints, and the report divides coefficient i by
-  C(n, i) D^(2i) once, in the calling process. No floating-point fallback
-  exists, and the report's mode field says so.
+  replicate returns those ints, and the report keeps them with coefficient
+  i's divisor C(n, i) D^(2i), in the calling process. No floating-point
+  fallback exists, and the report's mode field says so.
 * Determinism. Replicate r uses an RNG seeded by a documented split
   (SplitMix64 of the master seed and r), and aggregation reduces replicate
   results in index order. Reports are therefore byte-identical no matter
@@ -116,7 +116,7 @@ class CoefficientStats:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Statistics and raw replicate values (b_i or d_i, not over C(n, i)), keyed by kind."""
+    """Statistics and the kernels' replicate ints, by kind, and value i's divisor C(n, i) D^(2i) in ``divisors``."""
 
     n: int
     reps: int
@@ -125,7 +125,8 @@ class SimulationReport:
     kind: str
     mode: str
     stats: dict[str, tuple[CoefficientStats, ...]]
-    raw: dict[str, tuple[tuple[Fraction, ...], ...]]
+    values: dict[str, tuple[tuple[int, ...], ...]]
+    divisors: tuple[int, ...]
 
     def stats_for(self, kind: str) -> tuple[CoefficientStats, ...]:
         if kind not in self.stats:
@@ -133,11 +134,10 @@ class SimulationReport:
         return self.stats[kind]
 
     def replicates_for(self, kind: str) -> tuple[tuple[Fraction, ...], ...]:
-        """The replicate values of ``kind`` normalized by C(n, i)."""
-        if kind not in self.raw:
+        """The replicate values of ``kind`` normalized by C(n, i): b_i / C(n, i) or d_i / C(n, i)."""
+        if kind not in self.values:
             raise ValueError(f"report holds no {kind!r} replicate values")
-        scales = [comb(self.n, i) for i in range(1, self.max_index + 1)]
-        return tuple(tuple(v / c for v, c in zip(row, scales)) for row in self.raw[kind])
+        return tuple(tuple(map(Fraction, row, self.divisors)) for row in self.values[kind])
 
 
 def _gram_entries(rows: list) -> ExactMatrix:
@@ -509,14 +509,12 @@ def _report(config: SimulationConfig, results: list) -> SimulationReport:
     kinds = config.kinds
     traces = traces_by_power(moment_matrix(config.model), config.max_index)
     recursions = {"det": expected_det_recursion, "perm": expected_perm_recursion}
-    scales = [config.model.scale ** (2 * i) for i in range(1, config.max_index + 1)]
-    divisors = [comb(config.n, i) * scale for i, scale in enumerate(scales, start=1)]
+    divisors = tuple(comb(config.n, i) * config.model.scale ** (2 * i) for i in range(1, config.max_index + 1))
     values = dict(zip(kinds, zip(*results)))
     stats = {
         kind: _aggregate(values[kind], divisors, recursions[kind](traces, config.max_index))
         for kind in kinds
     }
-    raw = {kind: tuple(tuple(map(Fraction, row, scales)) for row in values[kind]) for kind in kinds}
     return SimulationReport(
         n=config.n,
         reps=config.reps,
@@ -525,7 +523,8 @@ def _report(config: SimulationConfig, results: list) -> SimulationReport:
         kind=config.kind,
         mode="exact",
         stats=stats,
-        raw=raw,
+        values=values,
+        divisors=divisors,
     )
 
 

@@ -114,6 +114,8 @@ def expected_perm_recursion(traces: TraceSequence, count: int) -> ExpectedSequen
 
 def det_sequence_from_char(coeffs: CharCoeffs, count: int) -> ExpectedSequence:
     """a_0..a_count by the closed form a_n = n! c_n, with c_n = 0 beyond the matrix dimension."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     values = (factorial(n) * coeffs[n] if n <= coeffs.dimension else Fraction(0) for n in range(count + 1))
     return ExpectedSequence(KIND_DET, PATH_CHAR, tuple(values))
 

@@ -74,7 +74,10 @@ def random_atoms_distribution(rng: Random, num_atoms: int, t: int) -> DiscreteVe
     return DiscreteVectorDistribution(atoms)
 
 
-def run_cli(*argv: str, env_extra: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+def run_cli(
+    *argv: str, env_extra: dict[str, str] | None = None, timeout: float | None = None
+) -> subprocess.CompletedProcess:
+    """``python -m gramexpect argv``; past ``timeout`` seconds the run is killed and TimeoutExpired raised."""
     env = os.environ.copy()
     if env_extra:
         env.update(env_extra)
@@ -83,4 +86,5 @@ def run_cli(*argv: str, env_extra: dict[str, str] | None = None) -> subprocess.C
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )

@@ -125,6 +125,22 @@ class TestTraces:
         assert captured.out == ""
         assert "verification mismatch" in captured.err
 
+    def test_newton_route_off_at_t3_is_named(self, monkeypatch, capsys):
+        real = cli.traces_from_char_coeffs
+
+        def corrupted(coeffs, count):
+            values = real(coeffs, count).values
+            return TraceSequence((*values[:2], values[2] + 1, *values[3:]))
+
+        monkeypatch.setattr(cli, "traces_from_char_coeffs", corrupted)
+        code = cli.main(["traces", "--paper", "-N", "5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            "gramexpect: verification mismatch: trace paths disagree: power vs newton first differ at "
+            "n = 3 (93917125/4096 vs 93921221/4096)\n"
+        )
+
 
 class TestExpect:
     def test_paper_csv_decimals(self):
@@ -334,6 +350,14 @@ class TestOracleCommand:
         proc = run_cli("oracle", "ryser", "--matrix", str(path))
         assert proc.returncode == 2
 
+    def test_invalid_json_matrix_file_names_it(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        proc = run_cli("oracle", "ryser", "--matrix", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("gramexpect: matrix file is not valid JSON: Expecting property name")
+        assert proc.stderr.count("\n") == 1
+
     def test_deeply_nested_matrix_file_exits_2(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text('{"rows": ' + "[" * 100_000)
@@ -538,6 +562,14 @@ class TestEnvironmentOverrides:
         )
         assert proc.stdout.splitlines()[-1].endswith("35.3125")
 
+    def test_env_decimals_at_the_bound_is_accepted(self):
+        proc = run_cli(
+            "expect", "--paper", "-N", "1", "--kind", "det", "--output", "csv",
+            env_extra={"GRAMEXPECT_DECIMALS": "1000"},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "det,1,565/16,35.3125" + "0" * 996
+
     def test_env_seed_feeds_simulate(self):
         proc = run_cli(
             "simulate", "--paper", "-n", "3", "--reps", "2", "--max-index", "1",
@@ -563,6 +595,36 @@ class TestEnvironmentOverrides:
         proc = run_cli("moments", "--paper", "--seed", "1")
         assert proc.returncode == 2
         assert "--seed" in proc.stderr
+
+
+# 4400 places used to reach CPython's 4300-digit int-to-str limit, and 10^8 to run for
+# minutes; the timeout makes a run that does not refuse them at once fail, not hang.
+OVER_THE_DECIMALS_BOUND = pytest.mark.parametrize("decimals", ["4400", "100000000"], ids=["4400", "1e8"])
+
+
+class TestDecimalsBound:
+    @staticmethod
+    def assert_refused(proc, decimals):
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"gramexpect: decimals must be <= 1000, got {decimals}\n"
+
+    @OVER_THE_DECIMALS_BOUND
+    def test_expect_refuses_decimals_over_the_bound(self, decimals):
+        proc = run_cli("expect", "--paper", "-N", "3", "--decimals", decimals, timeout=30)
+        self.assert_refused(proc, decimals)
+
+    @OVER_THE_DECIMALS_BOUND
+    def test_simulate_refuses_decimals_over_the_bound(self, decimals):
+        proc = run_cli(
+            "simulate", "--paper", "-n", "3", "--reps", "2", "--max-index", "1", "--output", "table",
+            "--decimals", decimals, timeout=30,
+        )
+        self.assert_refused(proc, decimals)
+
+    @OVER_THE_DECIMALS_BOUND
+    def test_env_decimals_over_the_bound_refused(self, decimals):
+        proc = run_cli("expect", "--paper", "-N", "3", env_extra={"GRAMEXPECT_DECIMALS": decimals}, timeout=30)
+        self.assert_refused(proc, decimals)
 
 
 class TestManifest:

@@ -157,3 +157,8 @@ class TestMatrixJson:
             matrix_from_json_str('{"cols": []}')
         with pytest.raises(ValueError):
             matrix_from_json_str('{"rows": [["1", "2"], ["3"]]}')
+
+    def test_invalid_json_is_a_value_error_naming_the_matrix_file(self):
+        with pytest.raises(ValueError, match="^matrix file is not valid JSON: Expecting property name") as info:
+            matrix_from_json_str("{")
+        assert not isinstance(info.value, json.JSONDecodeError)

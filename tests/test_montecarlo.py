@@ -182,6 +182,13 @@ def unscaled(values, scale):
     return tuple(F(v, scale ** (2 * i)) for i, v in enumerate(values, start=1))
 
 
+def sampled_values(report, kind):
+    """Each replicate's b_i or d_i: ``replicates_for`` times C(n, i)."""
+    return tuple(
+        tuple(v * comb(report.n, i) for i, v in enumerate(row, start=1)) for row in report.replicates_for(kind)
+    )
+
+
 def assert_matches_ryser(columns, max_index):
     """The Wick kernel, fed the columns scaled to integer rows, against Ryser on the n x n Gram matrix."""
     rows, scale = integer_rows(list(zip(*columns)))
@@ -556,7 +563,7 @@ class TestReplicateValues:
     def test_perm_only_replicates_follow_the_column_stream(self, model):
         cfg = SimulationConfig(model, n=6, reps=3, max_index=3, kind="perm", seed=11)
         report = simulate(cfg)
-        for r, row in enumerate(report.raw["perm"]):
+        for r, row in enumerate(sampled_values(report, "perm")):
             columns = sample_columns(model, cfg.n, Random(derive_seed(cfg.seed, r)))
             rows, scale = integer_rows(list(zip(*columns)))
             assert row == unscaled(_perm_coefficient_values(rows, cfg.max_index), scale)
@@ -567,12 +574,11 @@ class TestReplicateValues:
         for r in range(cfg.reps):
             columns = sample_columns(cfg.model, cfg.n, Random(derive_seed(cfg.seed, r)))
             g = gram(ExactMatrix.from_rows(zip(*columns)))
-            assert report.raw["det"][r] == char_poly_coeffs_of_gram(g)[1 : cfg.max_index + 1]
-            assert report.raw["perm"][r] == permanental_poly_coeffs(g, cfg.max_index)[1:]
+            assert sampled_values(report, "det")[r] == char_poly_coeffs_of_gram(g)[1 : cfg.max_index + 1]
+            assert sampled_values(report, "perm")[r] == permanental_poly_coeffs(g, cfg.max_index)[1:]
+        assert report.divisors == tuple(comb(cfg.n, i) * cfg.model.scale ** (2 * i) for i in (1, 2, 3))
         for kind in cfg.kinds:
-            assert report.replicates_for(kind) == tuple(
-                tuple(v / comb(cfg.n, i) for i, v in enumerate(row, start=1)) for row in report.raw[kind]
-            )
+            assert all(type(v) is int for row in report.values[kind] for v in row)
 
     @pytest.mark.parametrize("kind", ["det", "perm", "both"])
     @pytest.mark.parametrize("model", [paper_model(), TWO_ATOMS], ids=["paper", "atoms"])
@@ -580,7 +586,7 @@ class TestReplicateValues:
         cfg = SimulationConfig(model, n=0, reps=3, max_index=0, kind=kind, seed=5)
         report = simulate(cfg)
         assert report.stats == {k: () for k in cfg.kinds}
-        assert report.raw == {k: ((),) * cfg.reps for k in cfg.kinds}
+        assert {k: report.replicates_for(k) for k in cfg.kinds} == {k: ((),) * cfg.reps for k in cfg.kinds}
 
     def test_report_metadata(self):
         cfg = SimulationConfig(TWO_ATOMS, n=3, reps=2, max_index=1, kind="det", seed=5)
@@ -588,7 +594,7 @@ class TestReplicateValues:
         assert (report.n, report.reps, report.seed) == (3, 2, 5)
         assert report.mode == "exact"
         assert "perm" not in report.stats
-        assert "perm" not in report.raw
+        assert "perm" not in report.values
         with pytest.raises(ValueError):
             report.stats_for("perm")
         with pytest.raises(ValueError):
@@ -628,10 +634,11 @@ class TestAggregation:
     def test_exact_sums_equal_the_fraction_formula(self, rows, scale):
         exact_seq = [F(1), F(11, 2), F(-3)]
         raw_rows = [tuple(F(v, scale ** (2 * i)) for i, v in enumerate(row, start=1)) for row in rows]
-        stats = _aggregate(rows, [comb(7, i) * scale ** (2 * i) for i in (1, 2)], exact_seq)
+        divisors = tuple(comb(7, i) * scale ** (2 * i) for i in (1, 2))
+        stats = _aggregate(rows, divisors, exact_seq)
         report = SimulationReport(
-            n=7, reps=len(raw_rows), seed=0, max_index=2, kind="det", mode="exact",
-            stats={"det": stats}, raw={"det": tuple(raw_rows)},
+            n=7, reps=len(rows), seed=0, max_index=2, kind="det", mode="exact",
+            stats={"det": stats}, values={"det": tuple(rows)}, divisors=divisors,
         )
         normalized = report.replicates_for("det")
         assert (stats, normalized) == reference_aggregate(raw_rows, 7, 2, exact_seq)

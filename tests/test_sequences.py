@@ -207,6 +207,23 @@ class TestThreePathAgreement:
             assert expected_perm_from_char(coeffs, 12).values == perm_rec
             assert egf_expand_perm(traces, 12).values == perm_rec
 
+    @pytest.mark.parametrize(
+        "route, source",
+        [
+            (expected_det_recursion, "traces"),
+            (expected_perm_recursion, "traces"),
+            (det_sequence_from_char, "coeffs"),
+            (expected_perm_from_char, "coeffs"),
+            (egf_expand_det, "traces"),
+            (egf_expand_perm, "traces"),
+        ],
+        ids=lambda v: getattr(v, "__name__", None),
+    )
+    def test_negative_count_refused_by_every_route(self, route, source):
+        inputs = {"traces": paper_traces(3), "coeffs": char_coeffs(paper_moments())}
+        with pytest.raises(ValueError, match="^count must be >= 0$"):
+            route(inputs[source], -1)
+
     def test_rank_annihilation_beyond_dimension(self):
         rng = Random(43)
         for _ in range(10):
