@@ -212,7 +212,9 @@ def cmd_traces(args: argparse.Namespace) -> str:
 def _expect_sequences(model: Model, terms: int, kind: str, path: str) -> dict[str, tuple]:
     """Each kind's a_n or p_n by the routes ``path`` selects; under "all" every route must equal the recursion."""
     matrix = moment_matrix(model)
-    traces, coeffs = traces_by_power(matrix, terms), matrix.char_coeffs
+    coeffs = matrix.char_coeffs
+    # Only the recursion and egf routes read the power traces.
+    traces = None if path == "char" else traces_by_power(matrix, terms)
     # Thunks look their functions up here when they run, so bench/run.py's hooks see the calls.
     routes = {
         "det": {

@@ -17,14 +17,13 @@ matrix is an ``ExactMatrix`` too: ``models.MomentMatrix`` only adds its checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .scalars import format_rational, to_rational
+from .scalars import format_rational, read_json, to_rational
 
 EntryLike = Fraction | int | str
 
@@ -156,9 +155,4 @@ def matrix_from_json(obj: object) -> ExactMatrix:
 
 
 def matrix_from_json_str(text: str) -> ExactMatrix:
-    try:
-        return matrix_from_json(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"matrix file is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise ValueError("matrix file nests JSON too deeply to parse") from None
+    return matrix_from_json(read_json(text, "matrix file"))

@@ -11,12 +11,14 @@ are supported:
   random with a finite rational law.
 
 The second-moment matrix M with M[i][j] = E(w_i w_j) is what every exact
-expectation downstream consumes. For the multinomial it is
+expectation downstream consumes. For multinomial counts whose trial count
+ell is fixed or random it is
 
-    M[i][i] = ell (ell - 1) p_i^2 + ell p_i
-    M[i][j] = ell (ell - 1) p_i p_j      (i != j)
+    M[i][i] = E(ell (ell - 1)) p_i^2 + E(ell) p_i
+    M[i][j] = E(ell (ell - 1)) p_i p_j      (i != j)
 
-and the compound case averages those entries over the law of ell.
+so the law of ell enters through those two scalars alone; a multinomial is
+the one-point law.
 
 Sampling is exact: categorical draws compare a 64-bit uniform integer
 against precomputed integer thresholds ceil(cumprob * 2^64), so replicate
@@ -32,7 +34,6 @@ rows. ``sample_columns`` is the per-column reference in the model's values.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,7 @@ from struct import unpack
 from typing import Iterator, Sequence
 
 from .matrices import ExactMatrix, integer_scaled, leverrier_char_coeffs
-from .scalars import format_rational, to_rational
+from .scalars import format_rational, read_json, to_rational
 
 _TWO64 = 1 << 64
 
@@ -193,33 +194,23 @@ def moment_matrix_from_atoms(dist: DiscreteVectorDistribution) -> MomentMatrix:
     return MomentMatrix(tuple(tuple(sum(p * v[i] * v[j] for v, p in dist.atoms) for j in rows) for i in rows))
 
 
-def _multinomial_entries(ell: int, probs: Sequence[Fraction]) -> list[list[Fraction]]:
-    t = len(probs)
-    pair = Fraction(ell * (ell - 1))
-    out = [[pair * probs[i] * probs[j] for j in range(t)] for i in range(t)]
-    for i in range(t):
-        out[i][i] += ell * probs[i]
-    return out
-
-
-def moment_matrix_multinomial(model: MultinomialCountModel) -> MomentMatrix:
-    return MomentMatrix(tuple(tuple(row) for row in _multinomial_entries(model.ell, model.probs)))
-
-
-def moment_matrix_compound(model: CompoundCountModel) -> MomentMatrix:
-    """Entrywise average of the fixed-ell matrices under the law of ell."""
-    fixed = [(weight, _multinomial_entries(ell, model.probs)) for ell, weight in model.ell_law]
-    rows = range(model.t)
-    return MomentMatrix(tuple(tuple(sum(w * m[i][j] for w, m in fixed) for j in rows) for i in rows))
+def _count_moments(probs: Sequence[Fraction], law: Sequence[tuple[int, Fraction | int]]) -> MomentMatrix:
+    """E(ell (ell - 1)) p_i p_j, plus E(ell) p_i when i = j, for ell of the finite ``law`` of (ell, weight) pairs."""
+    pair = sum(weight * ell * (ell - 1) for ell, weight in law)
+    mean = sum(weight * ell for ell, weight in law)
+    entries = [[pair * p * q for q in probs] for p in probs]
+    for i, p in enumerate(probs):
+        entries[i][i] += mean * p
+    return MomentMatrix(tuple(map(tuple, entries)))
 
 
 def moment_matrix(model: Model) -> MomentMatrix:
     if isinstance(model, DiscreteVectorDistribution):
         return moment_matrix_from_atoms(model)
     if isinstance(model, MultinomialCountModel):
-        return moment_matrix_multinomial(model)
+        return _count_moments(model.probs, ((model.ell, 1),))
     if isinstance(model, CompoundCountModel):
-        return moment_matrix_compound(model)
+        return _count_moments(model.probs, model.ell_law)
     raise InvalidModelError(f"unsupported model type: {type(model).__name__}")
 
 
@@ -426,10 +417,4 @@ def model_from_dict(obj: object) -> Model:
 
 
 def model_from_json_str(text: str) -> Model:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidModelError(f"model file is not valid JSON: {exc}") from exc
-    except RecursionError:
-        raise InvalidModelError("model file nests JSON too deeply to parse") from None
-    return model_from_dict(obj)
+    return model_from_dict(read_json(text, "model file", InvalidModelError))

@@ -43,7 +43,7 @@ from random import Random
 # its models.sample_vector span, until ROADMAP item 1 or 5 repoints the hooks.
 from .models import Model, column_draws, moment_matrix, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
-from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs
+from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs, refuse_over_budget
 from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
 from .traces import integer_elementary_from_power_sums, traces_by_power
 
@@ -245,15 +245,10 @@ def perm_by_wick(n: int, t: int, max_index: int, op_budget: int) -> bool:
     GuardExceeded, naming the first index i over budget, when neither fits.
     """
     costs = perm_coefficient_op_cost(n, t, max_index)
-    if not costs or costs[-1] <= op_budget:
-        return True
-    if permanental_op_cost(n, max_index)[-1] <= op_budget:
+    if costs and costs[-1] > op_budget and permanental_op_cost(n, max_index)[-1] <= op_budget:
         return False
-    i, cost = next((i, c) for i, c in enumerate(costs, start=1) if c > op_budget)
-    raise GuardExceeded(
-        f"permanental run refused before sampling: index i = {i} at "
-        f"n = {n} needs ~{cost} ops, budget is {op_budget}"
-    )
+    refuse_over_budget(costs, n, op_budget, "permanental run refused before sampling")
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -556,6 +551,8 @@ def stddev_trend(
         raise ValueError("n_list must be non-empty and strictly increasing")
     if index < 1:
         raise ValueError("coefficient index must be >= 1")
+    if 0 <= n_list[0] < index:  # a negative n is SimulationConfig's to refuse
+        raise ValueError(f"coefficient index must be <= the smallest n, got {index} with n = {n_list[0]}")
     if reps < 2:
         raise ValueError(f"a trend needs reps >= 2 for a sample standard deviation, got {reps}")
     configs = [

@@ -188,6 +188,13 @@ def permanental_op_cost(n: int, max_index: int) -> list[int]:
     return costs
 
 
+def refuse_over_budget(costs: Sequence[int], n: int, op_budget: int, what: str) -> None:
+    """Raise GuardExceeded, opened by ``what``, at the first index i whose cumulative cost is over the budget."""
+    for i, cost in enumerate(costs, start=1):
+        if cost > op_budget:
+            raise GuardExceeded(f"{what}: index i = {i} at n = {n} needs ~{cost} ops, budget is {op_budget}")
+
+
 def permanental_poly_coeffs(
     gram_matrix: ExactMatrix,
     max_index: int,
@@ -203,12 +210,7 @@ def permanental_poly_coeffs(
     n = _require_square(gram_matrix, "permanental_poly_coeffs")
     if not 0 <= max_index <= n:
         raise ValueError(f"need 0 <= max_index <= n, got max_index={max_index}, n={n}")
-    for i, cost in enumerate(permanental_op_cost(n, max_index), start=1):
-        if cost > op_budget:
-            raise GuardExceeded(
-                f"permanental_poly_coeffs guard: index i = {i} at n = {n} "
-                f"needs ~{cost} ops, budget is {op_budget}"
-            )
+    refuse_over_budget(permanental_op_cost(n, max_index), n, op_budget, "permanental_poly_coeffs guard")
     entries = gram_matrix.entries
     coeffs = [Fraction(1)]
     for i in range(1, max_index + 1):

@@ -3,7 +3,9 @@
 Every quantity that must stay exact is a ``fractions.Fraction``: arbitrary
 precision, always in lowest terms, denominator always positive. This module
 owns the two textual forms used across the package, the "num/den" wire string
-and fixed-point decimal rendering, plus the float format used in reports.
+and fixed-point decimal rendering, plus the float format used in reports,
+canonical JSON out, and ``read_json``, the one reader of the model and matrix
+files' JSON.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ def to_rational(value: Fraction | int | str, what: str, error: type[ValueError] 
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise error(f"{what} must be a rational string or an integer, got {value!r}")
     return Fraction(value)
+
+
+def read_json(text: str, what: str, error: type[ValueError] = ValueError) -> object:
+    """``json.loads(text)``; malformed or too deeply nested JSON raises ``error`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise error(f"{what} nests JSON too deeply to parse") from None
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -199,6 +199,25 @@ class TestExpect:
         message = f"verification mismatch: {kind} paths disagree: recursion vs {route} first differ at n = 3 ("
         assert message in captured.err
 
+    def test_char_path_computes_no_power_traces(self, monkeypatch, capsys):
+        def no_traces(*args):
+            raise AssertionError("the char route read the power traces")
+
+        monkeypatch.setattr(cli, "traces_by_power", no_traces)
+        assert cli.main(["expect", "--paper", "-N", "8", "--path", "char"]) == 0
+        assert capsys.readouterr().out == (
+            "n  det       det ~    perm                               perm ~\n"
+            "0  1         1.00     1                                  1.00\n"
+            "1  565/16    35.31    565/16                             35.31\n"
+            "2  6775/16   423.44   265025/128                         2070.51\n"
+            "3  42375/16  2648.44  362772375/2048                     177134.95\n"
+            "4  28125/4   7031.25  164880286875/8192                  20126988.14\n"
+            "5  0         0.00     374500254796875/131072             2857210195.90\n"
+            "6  0         0.00     510339663861328125/1048576         486697830067.95\n"
+            "7  0         0.00     1622706705114099609375/16777216    96720856732970.45\n"
+            "8  0         0.00     737093046936266138671875/33554432  21967084614523236.12\n"
+        )
+
 
 class TestMoments:
     def test_json_matches_library(self):
@@ -508,6 +527,12 @@ class TestTrendCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--n-list must be comma-separated integers, got {n_list!r}" in captured.err
+
+    def test_index_above_the_smallest_n_names_the_index(self, capsys):
+        assert cli.main(["trend", "--paper", "--n-list", "2,3", "--reps", "2", "--index", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gramexpect: coefficient index must be <= the smallest n, got 3 with n = 2\n"
 
     def test_one_replicate_exits_2(self, capsys):
         # One replicate has no sample standard deviation to print.

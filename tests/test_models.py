@@ -24,9 +24,7 @@ from gramexpect.models import (
     MomentMatrix,
     model_from_json_str,
     model_to_dict,
-    moment_matrix_compound,
     moment_matrix_from_atoms,
-    moment_matrix_multinomial,
     sample_columns,
     sample_rows,
     sample_vector,
@@ -116,18 +114,18 @@ class TestMomentMatrixFromAtoms:
 
 class TestMomentMatrixMultinomial:
     def test_paper_entry_and_trace(self):
-        m = moment_matrix_multinomial(paper_model())
+        m = moment_matrix(paper_model())
         assert m.entries == PAPER_MOMENTS
         assert diagonal_sum(m) == F(565, 16)
 
     def test_ell_one_is_diagonal(self):
-        m = moment_matrix_multinomial(MultinomialCountModel(ell=1, probs=(F(1, 4), F(3, 4))))
+        m = moment_matrix(MultinomialCountModel(ell=1, probs=(F(1, 4), F(3, 4))))
         assert m.entries == ((F(1, 4), F(0)), (F(0), F(3, 4)))
 
     @given(prob_vectors(), st.integers(min_value=0, max_value=12))
     @settings(max_examples=60)
     def test_trace_identity(self, probs, ell):
-        m = moment_matrix_multinomial(MultinomialCountModel(ell=ell, probs=probs))
+        m = moment_matrix(MultinomialCountModel(ell=ell, probs=probs))
         expected = ell * (ell - 1) * sum(p * p for p in probs) + ell
         assert diagonal_sum(m) == expected
 
@@ -137,28 +135,29 @@ class TestMomentMatrixCompound:
         probs = (F(3, 8), F(1, 4), F(1, 4), F(1, 8))
         compound = CompoundCountModel(probs=probs, ell_law=((10, F(1)),))
         fixed = MultinomialCountModel(ell=10, probs=probs)
-        assert moment_matrix_compound(compound).entries == moment_matrix_multinomial(fixed).entries
+        assert moment_matrix(compound).entries == moment_matrix(fixed).entries
 
     def test_hand_weighted_average(self):
         model = CompoundCountModel(
             probs=(F(1, 2), F(1, 2)), ell_law=((1, F(1, 2)), (2, F(1, 2)))
         )
-        m = moment_matrix_compound(model)
+        m = moment_matrix(model)
         assert m.entries[0][0] == F(1)
 
     def test_zero_law_gives_zero_matrix(self):
         model = CompoundCountModel(probs=(F(1, 2), F(1, 2)), ell_law=((0, F(1)),))
-        assert moment_matrix_compound(model).entries == ((F(0), F(0)), (F(0), F(0)))
+        assert moment_matrix(model).entries == ((F(0), F(0)), (F(0), F(0)))
 
     def test_mixture_is_entrywise_average(self):
         rng = Random(5)
-        for _ in range(10):
+        for k in range(11):
             probs = random_prob_vector(rng, rng.randint(1, 3))
-            ells = sorted(rng.sample(range(8), 2))
+            # The last law has ell in {0, 1}, where E(ell (ell - 1)) = 0 and M is diagonal.
+            ells = sorted(rng.sample(range(8), 2)) if k < 10 else [0, 1]
             law = random_prob_vector(rng, 2)
             model = CompoundCountModel(probs=probs, ell_law=tuple(zip(ells, law)))
-            mixed = moment_matrix_compound(model)
-            parts = [moment_matrix_multinomial(MultinomialCountModel(ell=e, probs=probs)) for e in ells]
+            mixed = moment_matrix(model)
+            parts = [moment_matrix(MultinomialCountModel(ell=e, probs=probs)) for e in ells]
             for i in range(len(probs)):
                 for j in range(len(probs)):
                     expected = law[0] * parts[0].entries[i][j] + law[1] * parts[1].entries[i][j]
@@ -289,7 +288,7 @@ class TestSampling:
                     prod = w[i] * w[j]
                     sums[i][j] += prod
                     squares[i][j] += prod * prod
-        exact = moment_matrix_multinomial(model).entries
+        exact = moment_matrix(model).entries
         for i in range(t):
             for j in range(i, t):
                 mean = sums[i][j] / draws

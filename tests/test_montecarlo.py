@@ -797,9 +797,10 @@ class TestGuard:
             for t in range(1, 11):
                 for n in range(1, 17):
                     for i in range(1, n + 1):
+                        wick_fits = perm_coefficient_op_cost(n, t, i)[-1] <= budget
                         if permanental_op_cost(n, i)[-1] <= budget:
-                            perm_by_wick(n, t, i, budget)
-                        elif perm_coefficient_op_cost(n, t, i)[-1] <= budget:
+                            assert perm_by_wick(n, t, i, budget) == wick_fits  # Wick whenever it fits
+                        elif wick_fits:
                             assert perm_by_wick(n, t, i, budget)
                         else:
                             with pytest.raises(GuardExceeded):
@@ -855,7 +856,7 @@ class TestTrend:
         import gramexpect.montecarlo as montecarlo
 
         monkeypatch.setattr(montecarlo, "_replicate_worker", None)
-        with pytest.raises(ValueError, match="max_index"):
+        with pytest.raises(ValueError, match="^coefficient index must be <= the smallest n, got 4 with n = 2$"):
             stddev_trend(paper_model(), [2, 3000], reps=2, index=4, kind="perm", seed=0)
 
     def test_validation(self):
@@ -869,6 +870,12 @@ class TestTrend:
             stddev_trend(TWO_ATOMS, [], reps=2, index=1, kind="det", seed=0)
         with pytest.raises(ValueError):
             stddev_trend(TWO_ATOMS, [4], reps=2, index=0, kind="det", seed=0)
+
+    def test_index_above_the_smallest_n_refused_in_its_own_words(self):
+        # SimulationConfig's refusal named its max_index field, not the trend's index.
+        with pytest.raises(ValueError, match="^coefficient index must be <= the smallest n, got 3 with n = 2$"):
+            stddev_trend(TWO_ATOMS, [2, 3], reps=2, index=3, kind="det", seed=0)
+        assert [n for n, _ in stddev_trend(TWO_ATOMS, [3, 4], reps=2, index=3, kind="det", seed=0)] == [3, 4]
 
     @pytest.mark.parametrize("seed", [2**64, -1])
     def test_seed_outside_64_bits_refused_before_any_work(self, monkeypatch, seed):

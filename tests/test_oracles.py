@@ -220,6 +220,15 @@ class TestPermanentalCoeffs:
         assert "n = 24" in str(err.value)
         assert "i = " in str(err.value)
 
+    def test_budget_guard_at_its_bound(self):
+        # A cumulative cost equal to the budget fits; one op less refuses the first index over it.
+        g = gram(random_matrix(Random(83), 3, 6))
+        costs = permanental_op_cost(6, 3)
+        assert len(permanental_poly_coeffs(g, 3, op_budget=costs[-1])) == 4
+        message = f"^permanental_poly_coeffs guard: index i = 3 at n = 6 needs ~{costs[-1]} ops, budget is "
+        with pytest.raises(GuardExceeded, match=message + f"{costs[-1] - 1}$"):
+            permanental_poly_coeffs(g, 3, op_budget=costs[-1] - 1)
+
     def test_cost_model_is_cumulative(self):
         costs = permanental_op_cost(10, 3)
         assert len(costs) == 3

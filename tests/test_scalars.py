@@ -11,6 +11,7 @@ from gramexpect.scalars import (
     format_float,
     format_rational,
     parse_rational,
+    read_json,
 )
 
 
@@ -118,3 +119,17 @@ class TestCanonicalJson:
         a = canonical_json({"x": [Fraction(3, 8), 1.25], "y": {"k": 1}})
         b = canonical_json({"y": {"k": 1}, "x": [Fraction(6, 16), 1.25]})
         assert a == b
+
+
+class TestReadJson:
+    class CustomError(ValueError):
+        pass
+
+    def test_invalid_json_raises_the_given_error_naming_the_file(self):
+        with pytest.raises(self.CustomError, match="^some file is not valid JSON: Expecting property name"):
+            read_json("{", "some file", self.CustomError)
+
+    def test_deep_nesting_raises_the_given_error_naming_the_file(self):
+        with pytest.raises(self.CustomError, match="^some file nests JSON too deeply to parse$") as info:
+            read_json("[" * 100_000, "some file", self.CustomError)
+        assert info.value.__cause__ is None

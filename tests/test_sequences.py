@@ -25,7 +25,7 @@ from gramexpect import (
     weighted_cycle_sum,
 )
 from gramexpect.matrices import CharCoeffs
-from gramexpect.models import MomentMatrix, moment_matrix_multinomial
+from gramexpect.models import MomentMatrix
 from gramexpect.oracles import det_bareiss
 
 from conftest import random_psd
@@ -47,7 +47,7 @@ PAPER_CHAR = (F(1), F(565, 16), F(6775, 32), F(14125, 32), F(9375, 32))
 
 
 def paper_moments():
-    return moment_matrix_multinomial(paper_model())
+    return moment_matrix(paper_model())
 
 
 def paper_traces(count):

@@ -7,12 +7,12 @@ import pytest
 from gramexpect import (
     ExactMatrix,
     char_coeffs,
+    moment_matrix,
     paper_model,
     traces_by_power,
     traces_from_char_coeffs,
 )
 from gramexpect.matrices import CharCoeffs, leverrier_char_coeffs
-from gramexpect.models import moment_matrix_multinomial
 from gramexpect.traces import integer_elementary_from_power_sums
 
 from conftest import diagonal_sum, identity_matrix, integer_scaling_cases, random_matrix, random_psd, random_symmetric
@@ -53,7 +53,7 @@ class TestTracesByPower:
             traces_by_power(ExactMatrix.from_rows([["1/7", 2], [3, "4/9"], [5, 6]]), 3)
 
     def test_paper_trace_table(self):
-        traces = traces_by_power(moment_matrix_multinomial(paper_model()), 7)
+        traces = traces_by_power(moment_matrix(paper_model()), 7)
         assert traces.values == PAPER_TRACES
 
     def test_identity_traces(self):
@@ -96,7 +96,7 @@ class TestTracesFromCharCoeffs:
             assert traces.values == (F(t),) * 6
 
     def test_paper_cross_path(self):
-        matrix = moment_matrix_multinomial(paper_model())
+        matrix = moment_matrix(paper_model())
         coeffs = char_coeffs(matrix)
         assert traces_from_char_coeffs(coeffs, 7).values == PAPER_TRACES
 
@@ -127,7 +127,7 @@ class TestPsdTraceInvariants:
                 assert t * traces[2] >= traces[1] ** 2
 
     def test_paper_moment_matrix_is_psd_plausible(self):
-        coeffs = char_coeffs(moment_matrix_multinomial(paper_model()))
+        coeffs = char_coeffs(moment_matrix(paper_model()))
         assert all(c >= 0 for c in coeffs.values)
 
 
