@@ -12,10 +12,16 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 # Wire grammar: optional sign, integer, optional "/positive-integer".
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+# Deepest JSON nesting the readers accept; a model file needs 4 levels, a matrix file 3.
+JSON_MAX_DEPTH = 32
+# A string literal (an unterminated one runs to the end of the text) or a bracket.
+_JSON_BRACKET_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -47,8 +53,29 @@ def to_rational(value: Fraction | int | str, what: str, error: type[ValueError] 
     return Fraction(value)
 
 
+def _json_depth_exceeds(text: str, bound: int) -> bool:
+    """True when brackets outside string literals nest deeper than ``bound``."""
+    depth = 0
+    for match in _JSON_BRACKET_RE.finditer(text):
+        token = match.group()
+        if token in ("[", "{"):
+            depth += 1
+            if depth > bound:
+                return True
+        elif token in ("]", "}"):
+            depth -= 1
+    return False
+
+
 def read_json(text: str, what: str, error: type[ValueError] = ValueError) -> object:
-    """``json.loads(text)``; malformed or too deeply nested JSON raises ``error`` naming ``what``."""
+    """``json.loads(text)``; malformed or too deeply nested JSON raises ``error`` naming ``what``.
+
+    Nesting deeper than ``JSON_MAX_DEPTH`` is refused before parsing, so the
+    refusal does not depend on the interpreter's recursion limit or on how
+    deep the caller's stack is.
+    """
+    if _json_depth_exceeds(text, JSON_MAX_DEPTH):
+        raise error(f"{what} nests JSON too deeply to parse")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -57,9 +84,30 @@ def read_json(text: str, what: str, error: type[ValueError] = ValueError) -> obj
         raise error(f"{what} nests JSON too deeply to parse") from None
 
 
+class _AnyLengthInts:
+    """Lifts the interpreter's int-to-str digit limit for the enclosed conversion, then restores it.
+
+    CPython 3.11 (and 3.10.7+) refuses ``str(int)`` past 4300 digits by
+    default, or past ``PYTHONINTMAXSTRDIGITS``; older interpreters have no
+    limit. Parsing is not lifted: ``parse_rational`` keeps the limit.
+    """
+
+    limited = hasattr(sys, "set_int_max_str_digits")
+
+    def __enter__(self) -> None:
+        if self.limited:
+            self.previous = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.limited:
+            sys.set_int_max_str_digits(self.previous)
+
+
 def format_rational(value: Fraction | int) -> str:
-    """Canonical wire form: lowest terms, "num/den", bare integer if den == 1."""
-    return str(Fraction(value))
+    """Canonical wire form: lowest terms, "num/den", bare integer if den == 1, of any length."""
+    with _AnyLengthInts():
+        return str(Fraction(value))
 
 
 def decimal_string(value: Fraction | int, places: int = 2) -> str:
@@ -76,10 +124,11 @@ def decimal_string(value: Fraction | int, places: int = 2) -> str:
     if 2 * remainder >= q.denominator:
         units += 1
     sign = "-" if q < 0 and units > 0 else ""
-    if places == 0:
-        return f"{sign}{units}"
-    int_part, frac_part = divmod(units, scale)
-    return f"{sign}{int_part}.{frac_part:0{places}d}"
+    with _AnyLengthInts():
+        if places == 0:
+            return f"{sign}{units}"
+        int_part, frac_part = divmod(units, scale)
+        return f"{sign}{int_part}.{frac_part:0{places}d}"
 
 
 def format_float(value: float) -> str:

@@ -7,7 +7,8 @@ they can police each other:
 
 * recursion:
       a_{n+1} = sum_{j=0}^{n} C(n,j) (-1)^j j! a_{n-j} t_{j+1}
-  and the same with all plus signs for p_{n+1};
+  and the same with all plus signs for p_{n+1}, run divided through by n!
+  (below);
 * closed form from the characteristic coefficients c_i of M:
       a_n = n! c_n        (c_n = 0 past the dimension)
       p_n = n! [x^n] (1 - c_1 x + c_2 x^2 - ...)^(-1);
@@ -17,8 +18,10 @@ they can police each other:
 
 The recursion and the EGF are one recurrence: with q_n = a_n / n! the
 recursion reads (n+1) q_{n+1} = sum_j (-1)^j q_{n-j} t_{j+1}, the series
-exp's own. They check two implementations and two representations against
-each other. Only the closed form (Leverrier, then a series inverse) is
+exp's own. The recursion runs in that form, one signed product per term
+and one n! per a_n, while the EGF route builds the signed log series and
+calls ``TruncatedSeries.exp``: two implementations of one normalized
+recurrence. Only the closed form (Leverrier, then a series inverse) is
 algorithmically independent.
 
 The cycle-weight sum generalizes both recursions to arbitrary weights, and
@@ -89,17 +92,18 @@ def _expectation_recursion(traces: TraceSequence, count: int, signed: bool) -> t
         raise ValueError("count must be >= 0")
     if len(traces) < count:
         raise ValueError(f"trace sequence too short: need t_1..t_{count}, have {len(traces)}")
-    values = [Fraction(1)]
+    # q_n = a_n / n!: (n+1) q_{n+1} = sum_j (-1)^j q_{n-j} t_{j+1}, all plus signs for p_n.
+    q = [Fraction(1)]
     for n in range(count):
         total = Fraction(0)
         for j in range(n + 1):
-            term = comb(n, j) * factorial(j) * values[n - j] * traces[j + 1]
+            term = q[n - j] * traces[j + 1]
             if signed and j % 2 == 1:
                 total -= term
             else:
                 total += term
-        values.append(total)
-    return tuple(values)
+        q.append(total / (n + 1))
+    return tuple(factorial(n) * q_n for n, q_n in enumerate(q))
 
 
 def expected_det_recursion(traces: TraceSequence, count: int) -> ExpectedSequence:

@@ -51,19 +51,22 @@ class TruncatedSeries:
 
             (n + 1) e_{n+1} = sum_{k=0}^{n} (k + 1) s_{k+1} e_{n-k}
 
-        which needs no factorials and stays in lowest-terms rationals.
+        which needs no factorials and stays in lowest-terms rationals. The
+        nonzero derivative coefficients (k + 1) s_{k+1} are formed once,
+        before the O(order^2) loop, which sums over them only.
         """
         if self.coeffs[0] != 0:
             raise ValueError("exp requires a zero constant term")
         n = self.order
+        derivative = [(k, (k + 1) * s) for k, s in enumerate(self.coeffs[1:]) if s]
         out = [Fraction(0)] * (n + 1)
         out[0] = Fraction(1)
         for m in range(n):
             acc = Fraction(0)
-            for k in range(m + 1):
-                s = self.coeffs[k + 1]
-                if s != 0:
-                    acc += (k + 1) * s * out[m - k]
+            for k, d in derivative:
+                if k > m:
+                    break
+                acc += d * out[m - k]
             out[m + 1] = acc / (m + 1)
         return TruncatedSeries(tuple(out))
 

@@ -15,7 +15,7 @@ import gramexpect.cli as cli
 import gramexpect.oracles as oracles
 from gramexpect import __version__, moment_matrix, paper_model, retry_seed
 from gramexpect.matrices import matrix_to_json
-from gramexpect.scalars import canonical_json
+from gramexpect.scalars import JSON_MAX_DEPTH, canonical_json
 from gramexpect.traces import TraceSequence
 
 from conftest import run_cli
@@ -650,6 +650,76 @@ class TestDecimalsBound:
     def test_env_decimals_over_the_bound_refused(self, decimals):
         proc = run_cli("expect", "--paper", "-N", "3", env_extra={"GRAMEXPECT_DECIMALS": decimals}, timeout=30)
         self.assert_refused(proc, decimals)
+
+
+class TestPastTheIntDigitLimit:
+    """Exact values past CPython's 4300-digit int-to-str limit print in full; parsing keeps the limit."""
+
+    def test_traces_print_every_row_whatever_the_limit(self):
+        proc = run_cli("traces", "--paper", "-N", "1700", "--output", "csv", timeout=60)
+        lines = proc.stdout.splitlines()
+        assert (proc.returncode, len(lines), lines[-1][:5]) == (0, 1701, "1700,")
+        assert max(map(len, lines)) > 4300
+        low = run_cli(
+            "traces", "--paper", "-N", "1700", "--output", "csv", env_extra={"PYTHONINTMAXSTRDIGITS": "640"}, timeout=60
+        )
+        assert (low.returncode, low.stdout) == (0, proc.stdout)
+
+    def test_char_route_permanents_print_every_row(self):
+        proc = run_cli("expect", "--paper", "-N", "900", "--path", "char", "--kind", "perm", "--output", "csv", timeout=60)
+        lines = proc.stdout.splitlines()
+        assert (proc.returncode, len(lines), lines[-1][:9]) == (0, 902, "perm,900,")
+
+    def test_model_file_numerator_past_the_limit_exits_2(self, tmp_path):
+        # 10^5000 / (2 10^5000) is 1/2: only the parsing limit refuses it.
+        half = "1" + "0" * 5000 + "/2" + "0" * 5000
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"type":"multinomial","t":2,"ell":2,"probs":["{half}","1/2"]}}')
+        proc = run_cli("expect", "--model", str(path), "-N", "1", env_extra={"PYTHONINTMAXSTRDIGITS": "4300"})
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("gramexpect: invalid model: ")
+
+
+def _nested(depth: int, leaf: str) -> str:
+    return "[" * depth + leaf + "]" * depth
+
+
+class TestJsonNestingBound:
+    """Model and matrix files nested past JSON_MAX_DEPTH are refused before parsing."""
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (JSON_MAX_DEPTH, "gramexpect: invalid model: probs must be a rational string or an integer, got ["),
+            (JSON_MAX_DEPTH + 1, "gramexpect: invalid model: model file nests JSON too deeply to parse\n"),
+        ],
+        ids=["at-the-bound", "one-past"],
+    )
+    def test_model_file(self, tmp_path, capsys, depth, message):
+        path = tmp_path / "nested.json"
+        # The object is the first level, so the list nests depth - 1 levels.
+        path.write_text('{"type":"multinomial","t":2,"ell":2,"probs":' + _nested(depth - 1, '"1/2"') + "}")
+        assert cli.main(["expect", "--model", str(path), "-N", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+
+    @pytest.mark.parametrize(
+        "depth, message",
+        [
+            (JSON_MAX_DEPTH, "gramexpect: matrix entries must be a rational string or an integer, got ["),
+            (JSON_MAX_DEPTH + 1, "gramexpect: matrix file nests JSON too deeply to parse\n"),
+        ],
+        ids=["at-the-bound", "one-past"],
+    )
+    def test_matrix_file(self, tmp_path, capsys, depth, message):
+        path = tmp_path / "nested.json"
+        # The object, the row list and the row take three levels; the entry nests the rest.
+        path.write_text('{"rows": [' + _nested(depth - 2, "1") + "]}")
+        assert cli.main(["oracle", "ryser", "--matrix", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
 
 
 class TestManifest:

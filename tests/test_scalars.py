@@ -1,4 +1,6 @@
 import decimal
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gramexpect.scalars import (
+    JSON_MAX_DEPTH,
     canonical_json,
     decimal_string,
     format_float,
@@ -51,6 +54,30 @@ class TestFormatRational:
         assert format_rational(Fraction(6, 8)) == "3/4"
         assert format_rational(Fraction(-10, 5)) == "-2"
         assert format_rational(7) == "7"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int-to-str digit limit")
+class TestPastTheIntDigitLimit:
+    """Rendering lifts the interpreter's int-to-str limit for its own conversion only."""
+
+    @pytest.fixture
+    def limit_640(self):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        yield
+        sys.set_int_max_str_digits(previous)
+
+    def test_rendering_prints_every_digit_and_restores_the_limit(self, limit_640):
+        big = Fraction(10**5000 + 1, 3 * 10**700)
+        assert format_rational(big) == f"{'1' + '0' * 4999 + '1'}/{'3' + '0' * 700}"
+        assert decimal_string(Fraction(10**5000), 0) == "1" + "0" * 5000
+        assert decimal_string(Fraction(-(10**5000) - 1, 4), 2) == "-25" + "0" * 4998 + ".25"
+        assert sys.get_int_max_str_digits() == 640
+
+    def test_parsing_keeps_the_limit(self, limit_640):
+        with pytest.raises(ValueError, match="limit"):
+            parse_rational("1" * 641)
+        assert parse_rational("1" * 640) == int("1" * 640)
 
 
 class TestDecimalString:
@@ -133,3 +160,53 @@ class TestReadJson:
         with pytest.raises(self.CustomError, match="^some file nests JSON too deeply to parse$") as info:
             read_json("[" * 100_000, "some file", self.CustomError)
         assert info.value.__cause__ is None
+
+    @staticmethod
+    def nested(depth):
+        return "[" * depth + "1" + "]" * depth
+
+    def test_the_documented_bound(self):
+        assert JSON_MAX_DEPTH == 32
+
+    def test_parses_at_the_bound_and_refuses_one_past_it(self):
+        assert read_json(self.nested(JSON_MAX_DEPTH), "some file") == json.loads(self.nested(JSON_MAX_DEPTH))
+        with pytest.raises(self.CustomError, match="^some file nests JSON too deeply to parse$"):
+            read_json(self.nested(JSON_MAX_DEPTH + 1), "some file", self.CustomError)
+
+    @pytest.mark.parametrize(
+        "text, too_deep",
+        [
+            ('["' + "[" * 100 + '"]', False),
+            (r'{"a": "\"[[' + "{" * 100 + '"}', False),
+            (r'["\\", ' + "[" * JSON_MAX_DEPTH + "]" * JSON_MAX_DEPTH + "]", True),
+        ],
+        ids=["brackets-in-a-string", "escaped-quote", "escaped-backslash-ends-the-string"],
+    )
+    def test_only_brackets_outside_strings_count(self, text, too_deep):
+        if too_deep:
+            with pytest.raises(ValueError, match="too deeply"):
+                read_json(text, "some file")
+        else:
+            read_json(text, "some file")
+
+    def test_an_unterminated_string_is_invalid_json_not_too_deep(self):
+        with pytest.raises(ValueError, match="^some file is not valid JSON: Unterminated string"):
+            read_json('["' + "[" * 100, "some file")
+
+    def test_the_bound_does_not_depend_on_the_callers_stack(self):
+        def stack_depth():
+            frame, depth = sys._getframe(1), 0
+            while frame is not None:
+                frame, depth = frame.f_back, depth + 1
+            return depth
+
+        def from_frame(frames):
+            if frames > 0:
+                return from_frame(frames - 1)
+            assert stack_depth() >= 900
+            parsed = read_json(self.nested(JSON_MAX_DEPTH), "some file")
+            with pytest.raises(self.CustomError, match="^some file nests JSON too deeply to parse$"):
+                read_json(self.nested(JSON_MAX_DEPTH + 1), "some file", self.CustomError)
+            return parsed
+
+        assert from_frame(900 - stack_depth()) == json.loads(self.nested(JSON_MAX_DEPTH))

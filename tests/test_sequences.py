@@ -4,6 +4,8 @@ from math import comb, factorial
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gramexpect import (
     CompoundCountModel,
@@ -141,6 +143,47 @@ class TestRecursions:
     def test_trace_sequence_too_short(self):
         with pytest.raises(ValueError):
             expected_det_recursion(paper_traces(3), 5)
+
+
+def paper_form_recursion(traces, count, signed):
+    """The recursion as the paper states it, in a_n: a_{n+1} = sum_j C(n,j) (-1)^j j! a_{n-j} t_{j+1}."""
+    values = [F(1)]
+    for n in range(count):
+        terms = (
+            (-1 if signed and j % 2 else 1) * comb(n, j) * factorial(j) * values[n - j] * traces[j + 1]
+            for j in range(n + 1)
+        )
+        values.append(sum(terms, F(0)))
+    return tuple(values)
+
+
+class TestNormalizedRecursion:
+    """The recursion runs on q_n = a_n / n!; it must equal the paper's a_n form term for term."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            paper_model(),
+            # Signed rational atoms whose denominators have lcm D = 6.
+            DiscreteVectorDistribution.from_pairs(
+                [((F(1, 2), F(-1, 3), 1), F(1, 3)), ((-1, 0, F(5, 6)), F(1, 2)), ((0, F(-2, 3), F(1, 2)), F(1, 6))]
+            ),
+            CompoundCountModel(probs=(F(1, 2), F(1, 3), F(1, 6)), ell_law=((1, F(1, 4)), (3, F(3, 4)))),
+        ],
+        ids=["paper", "signed-atoms-d6", "compound"],
+    )
+    def test_equal_to_the_paper_form_up_to_60(self, model):
+        traces = traces_by_power(moment_matrix(model), 60)
+        assert expected_det_recursion(traces, 60).values == paper_form_recursion(traces, 60, signed=True)
+        assert expected_perm_recursion(traces, 60).values == paper_form_recursion(traces, 60, signed=False)
+
+    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_the_paper_form_on_random_traces(self, values):
+        traces = TraceSequence(tuple(values))
+        count = len(values)
+        assert expected_det_recursion(traces, count).values == paper_form_recursion(traces, count, signed=True)
+        assert expected_perm_recursion(traces, count).values == paper_form_recursion(traces, count, signed=False)
 
 
 class TestCharClosedForm:

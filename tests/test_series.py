@@ -78,6 +78,22 @@ class TestExp:
         total = TruncatedSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
         assert total.exp().coeffs == product(a.exp(), b.exp())
 
+    @staticmethod
+    def unhoisted_exp(s):
+        # E' = S' E with each (k + 1) s_{k+1} formed inside the loop, as the recurrence reads.
+        out = [F(1)]
+        for m in range(s.order):
+            out.append(sum(((k + 1) * s.coeffs[k + 1] * out[m - k] for k in range(m + 1)), F(0)) / (m + 1))
+        return tuple(out)
+
+    @pytest.mark.parametrize("order", [0, 1, 40])
+    def test_equal_to_the_unhoisted_loop(self, order):
+        rng = Random(order)
+        for _ in range(20):
+            values = [0] + [F(rng.randint(-9, 9), rng.randint(1, 8)) if rng.random() < 0.6 else 0 for _ in range(order)]
+            s = TruncatedSeries.from_coefficients(values)
+            assert s.exp().coeffs == self.unhoisted_exp(s)
+
 
 class TestInverse:
     def test_inverse_of_one_minus_x(self):
