@@ -44,6 +44,8 @@ from .montecarlo import (
 from .oracles import (
     GuardExceeded,
     OP_BUDGET,
+    VerificationMismatch,
+    agreed,
     brute_force_expectation,
     char_poly_coeffs_of_gram,
     det_bareiss,
@@ -70,10 +72,6 @@ GUARD_OPS_HELP = (
     "op budget checked before any work: the draws of one replicate and the "
     "permanental Wick expansion in simulate/trend, Ryser in oracle permpoly (default 10^7)"
 )
-
-
-class VerificationMismatch(Exception):
-    """Two computation paths disagreed (exit 1)."""
 
 
 def _env(name: str) -> str | None:
@@ -178,26 +176,13 @@ def cmd_moments(args: argparse.Namespace) -> str:
 # ----------------------------------------------------------------- traces
 
 
-def _agreed(what: str, first: int, computed: dict[str, tuple]) -> tuple:
-    """The first route's values; a route that differs raises, naming the first differing n (``first`` + index)."""
-    (reference_name, reference), *others = computed.items()
-    for name, values in others:
-        if values != reference:
-            k = next(k for k, (a, b) in enumerate(zip(reference, values)) if a != b)
-            raise VerificationMismatch(
-                f"{what} paths disagree: {reference_name} vs {name} first differ at "
-                f"n = {first + k} ({format_rational(reference[k])} vs {format_rational(values[k])})"
-            )
-    return reference
-
-
 def cmd_traces(args: argparse.Namespace) -> str:
     model = _load_model(args)
     if args.terms < 1:
         raise ValueError("--terms must be >= 1")
     matrix = moment_matrix(model)
     # Silent cross-check through Newton's identities: a disagreement is a real bug, reported by exit code 1.
-    traces = _agreed("trace", 1, {
+    traces = agreed("trace", 1, {
         "power": traces_by_power(matrix, args.terms).values,
         "newton": traces_from_char_coeffs(matrix.char_coeffs, args.terms).values,
     })
@@ -229,7 +214,7 @@ def _expect_sequences(model: Model, terms: int, kind: str, path: str) -> dict[st
         },
     }
     return {
-        k: _agreed(k, 0, {name: run().values for name, run in routes[k].items() if path in (name, "all")})
+        k: agreed(k, 0, {name: run().values for name, run in routes[k].items() if path in (name, "all")})
         for k in (("det", "perm") if kind == "both" else (kind,))
     }
 

@@ -29,22 +29,25 @@ Two contracts shape the implementation:
 from __future__ import annotations
 
 import os
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, islice
 from math import comb, factorial, prod, sqrt
-from operator import add, mul
+from operator import mul
 from random import Random
 
 # sample_vector is not called here; it stays because bench/run.py hooks this name for
 # its models.sample_vector span, until ROADMAP item 1 or 5 repoints the hooks.
 from .models import Model, column_draws, moment_matrix, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
-from .oracles import GuardExceeded, OP_BUDGET, permanental_op_cost, permanental_poly_coeffs, refuse_over_budget
-from .sequences import ExpectedSequence, expected_det_recursion, expected_perm_recursion
+from .oracles import (
+    GuardExceeded, OP_BUDGET, agreed, permanental_op_cost, permanental_poly_coeffs, refuse_over_budget,
+)
+from .sequences import (
+    ExpectedSequence, det_sequence_from_char, expected_det_recursion, expected_perm_from_char, expected_perm_recursion,
+)
 from .traces import integer_elementary_from_power_sums, traces_by_power
 
 _MASK64 = (1 << 64) - 1
@@ -314,71 +317,52 @@ def _perm_coefficient_values(rows: list, max_index: int) -> tuple[int, ...]:
     positions: each row moves through T, skipping zeros, and is gathered
     into the bands of t rows. M_k is symmetric, and the level below the top
     is read only by the top pairing, so it keeps the upper half p2 >= p.
-    Repeated columns are grouped and enter as (1 + x l(u) l(v))^c. The top
-    degree is never formed: d_max_index gains sum_q q! sum over (p, a),
-    (p2, b) in pred(q) of x_a x_b M[p][p2], each off-diagonal pair counted
-    twice. Cost: ``perm_coefficient_op_cost``.
+    Each column is applied once, highest degree first, so it reads every
+    level before it writes it. The top degree is never formed: d_max_index
+    gains sum_q q! sum over (p, a), (p2, b) in pred(q) of x_a x_b M[p][p2],
+    each off-diagonal pair counted twice. Cost: ``perm_coefficient_op_cost``.
     """
     if max_index == 0:
         return ()
     successors, bands, pairings, weights = _monomial_tables(len(rows), max_index)
     levels: list[dict[int, list[int]]] = [{0: [1]}] + [{} for _ in range(1, max_index)]
     top = 0
-    for xs, count in Counter(zip(*rows)).items():
+    for xs in zip(*rows):
         terms = [(a, x) for a, x in enumerate(xs) if x]
         if not terms:
             continue
-        # Highest source degree first: a chain from degree s writes only to
-        # degrees above s, which have already been read as sources.
-        for source in range(max_index - 1, -1, -1):
-            poly, steps = levels[source], min(count, max_index - source)
-            if not poly:
-                continue
-            for k in range(1, steps + 1):
-                weight, degree = comb(count, k), source + k
-                if degree == max_index:
-                    pair_sum = 0
-                    for p, row in poly.items():
-                        pairing = pairings[p]
-                        for a, x in terms:
-                            part = 0
-                            for at, b, f in pairing[a]:
-                                y = xs[b]
-                                if y:
-                                    part += f * y * row[at]
-                            pair_sum += x * part
-                    top += weight * pair_sum
-                    break
-                # Below the top, a chain's last step is k = count, of weight 1,
-                # so it writes into its level directly.
-                last = k == steps
-                target: dict[int, list[int]] = levels[degree] if last else {}
-                succ, size = successors[degree - 1], len(weights[degree])
-                source_band, band = bands[degree - 1], bands[degree]
-                for p, row in poly.items():
-                    moved = [0] * size
-                    for p2, value in zip(source_band[p], row):
-                        if value:
-                            to = succ[p2]
-                            for b, x in terms:
-                                moved[to[b]] += x * value
-                    to = succ[p]
-                    for a, x in terms:
-                        q = to[a]
-                        out = target.get(q)
-                        if out is None:
-                            target[q] = [x * moved[j] for j in band[q]]
-                        else:
-                            for at, j in enumerate(band[q]):
-                                value = moved[j]
-                                if value:
-                                    out[at] += x * value
-                if not last:
-                    level = levels[degree]
-                    for q, row in target.items():
-                        row = map(weight.__mul__, row)
-                        level[q] = list(map(add, level[q], row)) if q in level else list(row)
-                poly = target
+        # Highest degree first, so each degree reads the one below before
+        # this column writes it: the top pairing reads level max_index - 1.
+        for p, row in levels[-1].items():
+            pairing = pairings[p]
+            for a, x in terms:
+                part = 0
+                for at, b, f in pairing[a]:
+                    y = xs[b]
+                    if y:
+                        part += f * y * row[at]
+                top += x * part
+        for degree in range(max_index - 1, 0, -1):
+            target, succ, size = levels[degree], successors[degree - 1], len(weights[degree])
+            source_band, band = bands[degree - 1], bands[degree]
+            for p, row in levels[degree - 1].items():
+                moved = [0] * size
+                for p2, value in zip(source_band[p], row):
+                    if value:
+                        to = succ[p2]
+                        for b, x in terms:
+                            moved[to[b]] += x * value
+                to = succ[p]
+                for a, x in terms:
+                    q = to[a]
+                    out = target.get(q)
+                    if out is None:
+                        target[q] = [x * moved[j] for j in band[q]]
+                    else:
+                        for at, j in enumerate(band[q]):
+                            value = moved[j]
+                            if value:
+                                out[at] += x * value
     diagonal = [
         sum(weights[i][q] * row[band[q].index(q)] for q, row in levels[i].items())
         for i, band in enumerate(bands[1:], start=1)
@@ -500,16 +484,34 @@ def _replicate_work(config: SimulationConfig, op_budget: int) -> list[tuple]:
 
 
 def _report(config: SimulationConfig, results: list) -> SimulationReport:
-    """The report of ``config`` from its replicates' results, in index order."""
-    kinds = config.kinds
-    traces = traces_by_power(moment_matrix(config.model), config.max_index)
-    recursions = {"det": expected_det_recursion, "perm": expected_perm_recursion}
-    divisors = tuple(comb(config.n, i) * config.model.scale ** (2 * i) for i in range(1, config.max_index + 1))
-    values = dict(zip(kinds, zip(*results)))
-    stats = {
-        kind: _aggregate(values[kind], divisors, recursions[kind](traces, config.max_index))
-        for kind in kinds
+    """The report of ``config`` from its replicates' results, in index order.
+
+    Checks what it reports, raising VerificationMismatch: the recursion's
+    a_1..a_i or p_1..p_i, which every replicate is z-scored against, must
+    equal the char route's from the moment matrix's kept Leverrier
+    coefficients, and with both kinds every replicate's b_1 must equal its
+    d_1, both tr G times D^2.
+    """
+    kinds, max_index = config.kinds, config.max_index
+    matrix = moment_matrix(config.model)
+    traces = traces_by_power(matrix, max_index)
+    routes = {
+        "det": (expected_det_recursion, det_sequence_from_char),
+        "perm": (expected_perm_recursion, expected_perm_from_char),
     }
+    divisors = tuple(comb(config.n, i) * config.model.scale ** (2 * i) for i in range(1, max_index + 1))
+    values = dict(zip(kinds, zip(*results)))
+    stats = {}
+    for kind in kinds:
+        recursion, char = routes[kind]
+        exact = recursion(traces, max_index)
+        agreed(f"{kind} expectation", 1, {
+            "recursion": exact.values[1:], "char": char(matrix.char_coeffs, max_index).values[1:],
+        }, index="i")
+        stats[kind] = _aggregate(values[kind], divisors, exact)
+    if len(kinds) == 2 and max_index:
+        b_1, d_1 = (tuple(row[0] for row in values[kind]) for kind in kinds)
+        agreed("tr G", 0, {"b_1": b_1, "d_1": d_1}, index="replicate")
     return SimulationReport(
         n=config.n,
         reps=config.reps,

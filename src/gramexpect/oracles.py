@@ -11,16 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .matrices import ExactMatrix, gram, leverrier_char_coeffs
 from .models import DiscreteVectorDistribution
+from .scalars import format_rational
 
 LEIBNIZ_MAX_SIZE = 9
 RYSER_MAX_SIZE = 28
-# Exact O(n^3) Bareiss and O(n^4) integer Leverrier: on entries in [-4, 4], about 3 s
-# and 0.1 s at these bounds (2-core Xeon, CPython 3.11).
+# Exact O(n^3) integer Bareiss and O(n^4) integer Leverrier: on entries in [-4, 4],
+# about 0.1 s each at these bounds (2-core Xeon, CPython 3.11).
 BAREISS_MAX_SIZE = 100
 CHARPOLY_MAX_SIZE = 32
 # t n^2 Fraction products for a t x n matrix: about 5 s at 100x100 on the same entries.
@@ -38,12 +39,39 @@ class GuardExceeded(Exception):
     """
 
 
+class VerificationMismatch(Exception):
+    """Two computation paths disagreed (exit 1)."""
+
+
+def agreed(what: str, first: int, computed: dict[str, tuple], index: str = "n") -> tuple:
+    """The first path's values; a path that differs raises, naming the first differing ``index`` (``first`` + position)."""
+    (reference_name, reference), *others = computed.items()
+    for name, values in others:
+        if values != reference:
+            k = next(k for k, (a, b) in enumerate(zip(reference, values)) if a != b)
+            raise VerificationMismatch(
+                f"{what} paths disagree: {reference_name} vs {name} first differ at "
+                f"{index} = {first + k} ({format_rational(reference[k])} vs {format_rational(values[k])})"
+            )
+    return reference
+
+
 def _require_square(matrix: ExactMatrix, what: str, max_size: int | None = None) -> int:
     if not matrix.is_square:
         raise ValueError(f"{what} requires a square matrix, got {matrix.rows}x{matrix.cols}")
     if max_size is not None and matrix.rows > max_size:
         raise GuardExceeded(f"{what} guard: n = {matrix.rows} exceeds max size {max_size}")
     return matrix.rows
+
+
+def _integer_entries(matrix: ExactMatrix) -> tuple[list[list[int]], int]:
+    """The entries times the lcm D of their denominators, as ints, and D.
+
+    Its own three lines, not ``matrices.integer_scaled``, which the fast
+    paths use: a fault there cannot hide in an oracle too.
+    """
+    scale = lcm(*(x.denominator for row in matrix.entries for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.entries], scale
 
 
 def _permutation_sign(perm: Sequence[int]) -> int:
@@ -65,12 +93,12 @@ def _permutation_sign(perm: Sequence[int]) -> int:
 
 def _leibniz_sum(matrix: ExactMatrix, what: str, signed: bool) -> Fraction:
     n = _require_square(matrix, what, LEIBNIZ_MAX_SIZE)
-    entries = matrix.entries
-    total = Fraction(0)
+    entries, scale = _integer_entries(matrix)
+    total = 0
     for perm in permutations(range(n)):
-        term = prod((entries[i][perm[i]] for i in range(n)), start=Fraction(1))
+        term = prod(entries[i][perm[i]] for i in range(n))
         total += -term if signed and _permutation_sign(perm) < 0 else term
-    return total
+    return Fraction(total, scale**n)
 
 
 def det_expansion(matrix: ExactMatrix) -> Fraction:
@@ -83,18 +111,18 @@ def perm_expansion(matrix: ExactMatrix) -> Fraction:
     return _leibniz_sum(matrix, "perm_expansion", signed=False)
 
 
-def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
+def _perm_ryser_entries(entries: Sequence[Sequence[int]]) -> int:
     n = len(entries)
     if n == 0:
-        return Fraction(1)
+        return 1
     # Inclusion-exclusion over nonempty column subsets S:
     #   perm = sum_S (-1)^(n - |S|) prod_i (sum_{j in S} entries[i][j])
     # visited in Gray-code order (step k toggles the lowest set bit of k),
     # so the row sums update in O(n) per subset.
-    row_sums = [Fraction(0)] * n
+    row_sums = [0] * n
     in_subset = [False] * n
     size = 0
-    total = Fraction(0)
+    total = 0
     for k in range(1, 1 << n):
         flip = (k & -k).bit_length() - 1
         if in_subset[flip]:
@@ -107,7 +135,7 @@ def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
                 row_sums[i] += entries[i][flip]
             in_subset[flip] = True
             size += 1
-        term = prod(row_sums, start=Fraction(1))
+        term = prod(row_sums)
         if term != 0:
             total += term if (n - size) % 2 == 0 else -term
     return total
@@ -115,22 +143,24 @@ def _perm_ryser_entries(entries: Sequence[Sequence[Fraction]]) -> Fraction:
 
 def perm_ryser(matrix: ExactMatrix) -> Fraction:
     """Exact permanent in O(2^n n) via Ryser's formula with Gray-code subsets."""
-    _require_square(matrix, "perm_ryser", RYSER_MAX_SIZE)
-    return _perm_ryser_entries(matrix.entries)
+    n = _require_square(matrix, "perm_ryser", RYSER_MAX_SIZE)
+    entries, scale = _integer_entries(matrix)
+    return Fraction(_perm_ryser_entries(entries), scale**n)
 
 
 def det_bareiss(matrix: ExactMatrix) -> Fraction:
     """Exact determinant by fraction-free elimination with row pivoting.
 
-    Every division in the Bareiss recurrence is exact; a zero pivot column
+    Runs on the integer matrix D A, where every division in the Bareiss
+    recurrence is exact, and returns det(D A) / D^n; a zero pivot column
     means a singular matrix and an exact 0 result.
     """
     n = _require_square(matrix, "det_bareiss", BAREISS_MAX_SIZE)
     if n == 0:
         return Fraction(1)
-    a = [list(row) for row in matrix.entries]
+    a, scale = _integer_entries(matrix)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):
@@ -143,10 +173,10 @@ def det_bareiss(matrix: ExactMatrix) -> Fraction:
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], scale**n)
 
 
 def brute_force_expectation(dist: DiscreteVectorDistribution, n: int, kind: str) -> Fraction:
@@ -205,20 +235,20 @@ def permanental_poly_coeffs(
 
     These are the sign-adjusted coefficients of perm(lambda I - G). Costed
     up front: the cumulative Ryser work must fit the op budget, otherwise a
-    guard error names the offending (n, i) before any work happens.
+    guard error names the offending (n, i) before any work happens. Ryser
+    runs on the integer matrix D G, and d_i is its sum over D^i.
     """
     n = _require_square(gram_matrix, "permanental_poly_coeffs")
     if not 0 <= max_index <= n:
         raise ValueError(f"need 0 <= max_index <= n, got max_index={max_index}, n={n}")
     refuse_over_budget(permanental_op_cost(n, max_index), n, op_budget, "permanental_poly_coeffs guard")
-    entries = gram_matrix.entries
+    entries, scale = _integer_entries(gram_matrix)
     coeffs = [Fraction(1)]
     for i in range(1, max_index + 1):
-        total = Fraction(0)
+        total = 0
         for keep in combinations(range(n), i):
-            sub = tuple(tuple(entries[r][c] for c in keep) for r in keep)
-            total += _perm_ryser_entries(sub)
-        coeffs.append(total)
+            total += _perm_ryser_entries([[entries[r][c] for c in keep] for r in keep])
+        coeffs.append(Fraction(total, scale**i))
     return tuple(coeffs)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 
 # Wire grammar: optional sign, integer, optional "/positive-integer".
@@ -84,30 +83,33 @@ def read_json(text: str, what: str, error: type[ValueError] = ValueError) -> obj
         raise error(f"{what} nests JSON too deeply to parse") from None
 
 
-class _AnyLengthInts:
-    """Lifts the interpreter's int-to-str digit limit for the enclosed conversion, then restores it.
+# An int below 2^2100 has at most 633 decimal digits, under 640, the smallest
+# nonzero int-to-str digit limit CPython accepts (3.10.7+), so ``str`` prints it
+# whatever the limit is; a longer int is printed in pieces that short.
+_PLAIN_STR_BITS = 2100
 
-    CPython 3.11 (and 3.10.7+) refuses ``str(int)`` past 4300 digits by
-    default, or past ``PYTHONINTMAXSTRDIGITS``; older interpreters have no
-    limit. Parsing is not lifted: ``parse_rational`` keeps the limit.
+
+def _int_string(value: int, width: int = 0) -> str:
+    """``str(value)``, zero-padded to ``width`` digits, of any length, without touching the digit limit.
+
+    A long value is split by divmod at a power of ten near half its digits,
+    and its low piece zero-padded, until every piece is short. Parsing is
+    not changed: ``parse_rational`` keeps the limit.
     """
-
-    limited = hasattr(sys, "set_int_max_str_digits")
-
-    def __enter__(self) -> None:
-        if self.limited:
-            self.previous = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.limited:
-            sys.set_int_max_str_digits(self.previous)
+    if value.bit_length() < _PLAIN_STR_BITS:
+        return str(value).zfill(width)
+    if value < 0:
+        return "-" + _int_string(-value)
+    half = value.bit_length() * 3 // 20  # about half of its bits times log10(2)
+    high, low = divmod(value, 10**half)
+    return _int_string(high, width - half) + _int_string(low, half)
 
 
 def format_rational(value: Fraction | int) -> str:
     """Canonical wire form: lowest terms, "num/den", bare integer if den == 1, of any length."""
-    with _AnyLengthInts():
-        return str(Fraction(value))
+    q = Fraction(value)
+    numerator = _int_string(q.numerator)
+    return numerator if q.denominator == 1 else f"{numerator}/{_int_string(q.denominator)}"
 
 
 def decimal_string(value: Fraction | int, places: int = 2) -> str:
@@ -124,11 +126,10 @@ def decimal_string(value: Fraction | int, places: int = 2) -> str:
     if 2 * remainder >= q.denominator:
         units += 1
     sign = "-" if q < 0 and units > 0 else ""
-    with _AnyLengthInts():
-        if places == 0:
-            return f"{sign}{units}"
-        int_part, frac_part = divmod(units, scale)
-        return f"{sign}{int_part}.{frac_part:0{places}d}"
+    if places == 0:
+        return f"{sign}{_int_string(units)}"
+    int_part, frac_part = divmod(units, scale)
+    return f"{sign}{_int_string(int_part)}.{_int_string(frac_part, places)}"
 
 
 def format_float(value: float) -> str:

@@ -362,6 +362,17 @@ class TestPermCoefficientValues:
         rows = sample_rows(paper_model(), 400, Random(derive_seed(0, 0)))
         assert _perm_coefficient_values(rows, 4) == (14288, 168349176, 1922018074248, 21795016344773464)
 
+    def test_frozen_paper_replicate_at_n_1000(self):
+        # 162 distinct columns, one of them 29 times: counts far above max_index.
+        # Frozen from the kernel that grouped repeated columns into binomial chains.
+        rows = sample_rows(paper_model(), 1000, Random(derive_seed(0, 0)))
+        assert _perm_coefficient_values(rows, 4) == (35684, 1052365167, 30120918688472, 857627360799747436)
+
+    def test_column_repeated_past_max_index_beside_a_zero_column(self):
+        columns = [(1, F(-1, 2), 2)] * 6 + [(0, 0, 0)] + [(2, 1, 0)]
+        assert_matches_ryser(columns, 3)
+        assert_matches_ryser(columns[5:] + columns[:5], 4)
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_ryser_property(self, data):

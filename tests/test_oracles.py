@@ -1,9 +1,11 @@
 from fractions import Fraction
-from math import factorial
+from itertools import permutations
+from math import factorial, prod
 from random import Random
 
 import pytest
 
+import gramexpect.matrices as matrices
 import gramexpect.oracles as oracles
 from gramexpect import (
     DiscreteVectorDistribution,
@@ -125,6 +127,36 @@ class TestBareiss:
     def test_duplicate_gram_columns_are_singular(self):
         a = ExactMatrix.from_rows([[1, 1, 2], [3, 3, 5]])
         assert det_bareiss(gram(a)) == 0
+
+
+class TestIntegerScaling:
+    """Leibniz, Ryser, Bareiss and permpoly scale each matrix to ints themselves and divide once."""
+
+    def test_values_equal_fraction_arithmetic_without_matrices_integer_scaled(self, monkeypatch):
+        def broken(rows):
+            raise AssertionError("an oracle scaled through matrices.integer_scaled")
+
+        monkeypatch.setattr(matrices, "integer_scaled", broken)
+        rng = Random(73)
+        for _ in range(40):
+            n = rng.randint(0, 5)
+            m = ExactMatrix.from_rows(
+                [[F(rng.randint(-9, 9), rng.choice((1, 3, 5, 7, 12))) for _ in range(n)] for _ in range(n)]
+            )
+            entries = m.entries
+            terms = [
+                (sign, prod((entries[i][p[i]] for i in range(n)), start=F(1)))
+                for p in permutations(range(n))
+                for sign in [prod(-1 for i in range(n) for j in range(i) if p[j] > p[i])]
+            ]
+            perm = sum((term for _, term in terms), F(0))
+            assert det_expansion(m) == det_bareiss(m) == sum((sign * term for sign, term in terms), F(0))
+            assert perm_expansion(m) == perm_ryser(m) == perm
+            coeffs = permanental_poly_coeffs(m, n)
+            assert all(type(c) is F for c in coeffs)
+            assert coeffs[-1] == perm
+            if n:
+                assert coeffs[1] == diagonal_sum(m)
 
 
 class TestBruteForce:

@@ -58,7 +58,7 @@ class TestFormatRational:
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no int-to-str digit limit")
 class TestPastTheIntDigitLimit:
-    """Rendering lifts the interpreter's int-to-str limit for its own conversion only."""
+    """Rendering prints every digit under any int-to-str limit, and never changes the limit."""
 
     @pytest.fixture
     def limit_640(self):
@@ -73,6 +73,19 @@ class TestPastTheIntDigitLimit:
         assert decimal_string(Fraction(10**5000), 0) == "1" + "0" * 5000
         assert decimal_string(Fraction(-(10**5000) - 1, 4), 2) == "-25" + "0" * 4998 + ".25"
         assert sys.get_int_max_str_digits() == 640
+
+    def test_long_values_print_in_pieces_without_setting_the_limit(self, limit_640, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"the int-to-str digit limit was set to {limit}")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        # 10^633 is the shortest power of ten past the plain-str bound, 2^2100.
+        assert format_rational(10**633) == "1" + "0" * 633
+        assert format_rational(10**634 - 1) == "9" * 634
+        assert format_rational(-(10**1300) - 3) == "-1" + "0" * 1299 + "3"
+        assert format_rational(Fraction(1, 10**700)) == "1/1" + "0" * 700
+        assert decimal_string(Fraction(2, 3), 1000) == "0." + "6" * 999 + "7"
+        assert decimal_string(Fraction(-(10**5000) - 1, 10**700), 1000) == "-1" + "0" * 4300 + "." + "0" * 699 + "1" + "0" * 300
 
     def test_parsing_keeps_the_limit(self, limit_640):
         with pytest.raises(ValueError, match="limit"):
