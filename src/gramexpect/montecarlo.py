@@ -42,9 +42,7 @@ from random import Random
 # its models.sample_vector span, until ROADMAP item 1 or 5 repoints the hooks.
 from .models import Model, column_draws, moment_matrix, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
-from .oracles import (
-    GuardExceeded, OP_BUDGET, agreed, permanental_op_cost, permanental_poly_coeffs, refuse_over_budget,
-)
+from .oracles import GuardExceeded, OP_BUDGET, agreed, permanental_op_cost, permanental_poly_coeffs, refuse_over_budget
 from .sequences import (
     ExpectedSequence, det_sequence_from_char, expected_det_recursion, expected_perm_from_char, expected_perm_recursion,
 )
@@ -231,8 +229,11 @@ def perm_coefficient_op_cost(n: int, t: int, max_index: int) -> list[int]:
     only the n - k columns after the first k meet a nonempty degree-k
     level, so cost_i = c sum_{k<i} (n - k) C(k+t-1, t-1)^2. It bounds the
     kernel's multiply-adds; c = t^2 for t >= 3, and the 2t + 1 covers the
-    row scatters that t^2 undercounts at t <= 2. Counted over t = 1..6,
-    i <= 6, the banded kernel's multiply-adds came to at most 0.80 of it.
+    row scatters that t^2 undercounts at t <= 2. The kernel applies each
+    column once, so its work is a sum over columns too. Counted over
+    t = 1..6, i <= 6 and n in {i, i + 2, 12, 30}, on distinct columns and
+    on columns drawn from a pool of three, its multiply-adds came to at
+    most 0.80 of it.
     """
     per_coefficient = max(t * t, 2 * t + 1)
     return list(accumulate((n - k) * per_coefficient * comb(k + t - 1, t - 1) ** 2 for k in range(max_index)))
@@ -504,10 +505,8 @@ def _report(config: SimulationConfig, results: list) -> SimulationReport:
     stats = {}
     for kind in kinds:
         recursion, char = routes[kind]
-        exact = recursion(traces, max_index)
-        agreed(f"{kind} expectation", 1, {
-            "recursion": exact.values[1:], "char": char(matrix.char_coeffs, max_index).values[1:],
-        }, index="i")
+        exact, check = recursion(traces, max_index), char(matrix.char_coeffs, max_index)
+        agreed(f"{kind} expectation", 1, {"recursion": exact.values[1:], "char": check.values[1:]}, index="i")
         stats[kind] = _aggregate(values[kind], divisors, exact)
     if len(kinds) == 2 and max_index:
         b_1, d_1 = (tuple(row[0] for row in values[kind]) for kind in kinds)

@@ -44,7 +44,7 @@ class VerificationMismatch(Exception):
 
 
 def agreed(what: str, first: int, computed: dict[str, tuple], index: str = "n") -> tuple:
-    """The first path's values; a path that differs raises, naming the first differing ``index`` (``first`` + position)."""
+    """The first path's values; a path that differs raises, naming the first differing ``index`` = ``first`` + k."""
     (reference_name, reference), *others = computed.items()
     for name, values in others:
         if values != reference:

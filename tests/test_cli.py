@@ -853,11 +853,14 @@ class TestGoldenReplay:
     def test_an_edited_digest_exits_non_zero(self, tmp_path):
         case = GOLDEN_CASES["expect-paper-csv"]
         path = tmp_path / "golden.json"
-        script = [sys.executable, str(replay_golden.__file__), str(path)]
-        path.write_text(json.dumps({"files": GOLDEN_FILES, "cases": {"expect-paper-csv": case}}))
-        assert subprocess.run(script, capture_output=True, text=True).stdout == "1 of 1 golden cases match\n"
-        path.write_text(json.dumps({"files": GOLDEN_FILES, "cases": {"expect-paper-csv": {**case, "stdout_sha256": "0" * 64}}}))
-        proc = subprocess.run(script, capture_output=True, text=True)
+
+        def replay(case):
+            path.write_text(json.dumps({"files": GOLDEN_FILES, "cases": {"expect-paper-csv": case}}))
+            return subprocess.run([sys.executable, replay_golden.__file__, str(path)], capture_output=True, text=True)
+
+        proc = replay(case)
+        assert (proc.returncode, proc.stdout) == (0, "1 of 1 golden cases match\n")
+        proc = replay({**case, "stdout_sha256": "0" * 64})
         assert proc.returncode == 1
         assert proc.stdout.startswith("MISMATCH expect-paper-csv: ")
         assert proc.stdout.endswith("0 of 1 golden cases match\n")

@@ -342,8 +342,8 @@ class TestPermCoefficientValues:
 
     @pytest.mark.parametrize("t, n", [(2, 30), (3, 14)])
     def test_repeated_columns_through_the_trimmed_levels(self, t, n):
-        # Counts of 3 and more run chains from sources i - 2 and below through
-        # the banded levels 4 and 5, and through the half band under the top.
+        # Four columns, each 3 or more times, through the banded levels 4 and 5
+        # and the half band under the top; checked by Ryser once per multiset.
         rng = Random(10 * t + n)
         pool = [tuple(rng.randint(-2, 3) for _ in range(t)) for _ in range(4)]
         columns = [pool[k] for k in (0, 1, 2, 3) for _ in range(3)]
