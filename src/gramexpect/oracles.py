@@ -67,8 +67,8 @@ def _require_square(matrix: ExactMatrix, what: str, max_size: int | None = None)
 def _integer_entries(matrix: ExactMatrix) -> tuple[list[list[int]], int]:
     """The entries times the lcm D of their denominators, as ints, and D.
 
-    Its own three lines, not ``matrices.integer_scaled``, which the fast
-    paths use: a fault there cannot hide in an oracle too.
+    Computed here rather than by ``matrices.integer_scaled``, which the
+    fast paths use, so a fault there cannot hide in an oracle too.
     """
     scale = lcm(*(x.denominator for row in matrix.entries for x in row))
     return [[x.numerator * (scale // x.denominator) for x in row] for row in matrix.entries], scale

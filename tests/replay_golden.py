@@ -25,6 +25,8 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+from gramexpect import cli
+
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 
 
@@ -57,8 +59,6 @@ def manifest_digest(code: int, stderr: str) -> str:
 
 def run(argv: list[str], paths: dict[str, str]) -> tuple[int, str, str]:
     """``cli.main`` on ``argv`` with "@name" arguments replaced: exit code, stdout, stderr."""
-    from gramexpect import cli
-
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([paths.get(arg, arg) for arg in argv])

@@ -797,22 +797,18 @@ GOLDEN_FILES, GOLDEN_CASES = replay_golden.load()
 
 class TestGoldenOutput:
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_stdout_and_exit_code_frozen(self, case, files, capsys):
-        argv = [files.get(arg, arg) for arg in GOLDEN_CASES[case]["argv"]]
-        code = cli.main(argv)
-        digest = replay_golden.sha256(capsys.readouterr().out)
-        assert (code, digest) == (GOLDEN_CASES[case]["exit"], GOLDEN_CASES[case]["stdout_sha256"])
+    def test_stdout_and_exit_code_frozen(self, case, files):
+        code, out, _ = replay_golden.run(GOLDEN_CASES[case]["argv"], files)
+        assert (code, replay_golden.sha256(out)) == (GOLDEN_CASES[case]["exit"], GOLDEN_CASES[case]["stdout_sha256"])
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
-    def test_manifest_frozen(self, case, files, capsys):
-        argv = [files.get(arg, arg) for arg in GOLDEN_CASES[case]["argv"]]
-        code = cli.main(argv)
-        assert replay_golden.manifest_digest(code, capsys.readouterr().err) == GOLDEN_CASES[case]["manifest_sha256"]
+    def test_manifest_frozen(self, case, files):
+        code, _, err = replay_golden.run(GOLDEN_CASES[case]["argv"], files)
+        assert replay_golden.manifest_digest(code, err) == GOLDEN_CASES[case]["manifest_sha256"]
 
     @pytest.mark.parametrize("case", sorted(case for case, golden in GOLDEN_CASES.items() if golden["exit"] == 0))
     def test_replays_from_its_manifest(self, case, files, capsys, tmp_path):
-        cli.main([files.get(arg, arg) for arg in GOLDEN_CASES[case]["argv"]])
-        manifest = json.loads(capsys.readouterr().err.splitlines()[-1])
+        manifest = json.loads(replay_golden.run(GOLDEN_CASES[case]["argv"], files)[2].splitlines()[-1])
         config = manifest["config"]
         argv = [manifest["subcommand"], *([config.pop("oracle")] if "oracle" in config else [])]
         for key, value in config.items():
