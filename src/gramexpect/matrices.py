@@ -8,7 +8,8 @@ The chains of products do not multiply Fractions: ``integer_scaled``, the
 one lcm-and-scale step, writes a rational matrix as D^-1 times an integer
 matrix, D the lcm of its denominators. Leverrier here and the power traces
 in ``traces`` multiply that integer matrix and divide by D^k once per
-result, and the atoms model scales its atom vectors the same way.
+result, keeping D as their result's ``scale`` for the series routes in
+``sequences``, and the atoms model scales its atom vectors the same way.
 
 Also home to the characteristic-coefficient computation, since both the
 moment-matrix closed forms and the Gram-matrix oracles need it. A moment
@@ -17,7 +18,7 @@ matrix is an ``ExactMatrix`` too: ``models.MomentMatrix`` only adds its checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -86,14 +87,19 @@ class CharCoeffs:
     """Coefficients c_0..c_t with det(I + x M) = sum_i c_i x^i, c_0 = 1.
 
     Equivalently c_i is the i-th elementary symmetric polynomial of the
-    eigenvalues of M, i.e. the sum of the i x i principal minors.
+    eigenvalues of M, i.e. the sum of the i x i principal minors. ``scale``
+    is a positive int D, ideally one for which every D^i c_i is an integer,
+    as M's lcm denominator is; the perm char route inverts in Dx with it.
+    Any D gives the same values, so it takes no part in equality.
     """
 
     values: tuple[Fraction, ...]
+    scale: int = field(default=1, compare=False)
 
     def __post_init__(self) -> None:
         if not self.values or self.values[0] != 1:
             raise ValueError("characteristic coefficients must start with c_0 = 1")
+        check_scale(self.scale)
 
     @property
     def dimension(self) -> int:
@@ -106,6 +112,12 @@ class CharCoeffs:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def check_scale(scale: object) -> None:
+    """Refuse anything but a positive int (bools and floats included) as a series scale D."""
+    if type(scale) is not int or scale < 1:
+        raise ValueError(f"scale must be a positive int, got {scale!r}")
 
 
 def integer_scaled(rows: Sequence[Sequence[Fraction | int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -137,7 +149,7 @@ def leverrier_char_coeffs(matrix: ExactMatrix) -> CharCoeffs:
         coeffs.append(Fraction(raw if k % 2 == 1 else -raw, scale**k))
         for i in range(n):
             b[i][i] -= raw
-    return CharCoeffs(tuple(coeffs))
+    return CharCoeffs(tuple(coeffs), scale)
 
 
 def matrix_to_json(matrix: ExactMatrix) -> dict:

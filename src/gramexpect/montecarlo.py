@@ -40,13 +40,13 @@ from random import Random
 
 # sample_vector is not called here; it stays because bench/run.py hooks this name for
 # its models.sample_vector span, until ROADMAP item 1 or 5 repoints the hooks.
-from .models import Model, column_draws, moment_matrix, sample_rows, sample_vector
+from .models import Model, MomentMatrix, column_draws, moment_matrix, sample_rows, sample_vector
 from .matrices import ExactMatrix, gram
 from .oracles import GuardExceeded, OP_BUDGET, agreed, permanental_op_cost, permanental_poly_coeffs, refuse_over_budget
 from .sequences import (
     ExpectedSequence, det_sequence_from_char, expected_det_recursion, expected_perm_from_char, expected_perm_recursion,
 )
-from .traces import integer_elementary_from_power_sums, traces_by_power
+from .traces import TraceSequence, integer_elementary_from_power_sums, traces_by_power
 
 _MASK64 = (1 << 64) - 1
 # Reserved stream index for the acceptance suite's single statistical retry;
@@ -471,7 +471,9 @@ def simulate(config: SimulationConfig, *, threads: int = 1, op_budget: int = OP_
     processes, at most one per replicate and per usable CPU; the report is
     identical either way.
     """
-    return _report(config, _map_replicates(threads, _replicate_work(config, op_budget)))
+    results = _map_replicates(threads, _replicate_work(config, op_budget))
+    matrix = moment_matrix(config.model)
+    return _report(config, results, matrix, traces_by_power(matrix, config.max_index))
 
 
 def _replicate_work(config: SimulationConfig, op_budget: int) -> list[tuple]:
@@ -484,8 +486,12 @@ def _replicate_work(config: SimulationConfig, op_budget: int) -> list[tuple]:
     ]
 
 
-def _report(config: SimulationConfig, results: list) -> SimulationReport:
+def _report(config: SimulationConfig, results: list, matrix: MomentMatrix, traces: TraceSequence) -> SimulationReport:
     """The report of ``config`` from its replicates' results, in index order.
+
+    ``matrix`` is the model's moment matrix and ``traces`` its power traces
+    to at least ``config.max_index``, built once by the caller, so a trend
+    runs Leverrier once for all of its points.
 
     Checks what it reports, raising VerificationMismatch: the recursion's
     a_1..a_i or p_1..p_i, which every replicate is z-scored against, must
@@ -494,8 +500,6 @@ def _report(config: SimulationConfig, results: list) -> SimulationReport:
     d_1, both tr G times D^2.
     """
     kinds, max_index = config.kinds, config.max_index
-    matrix = moment_matrix(config.model)
-    traces = traces_by_power(matrix, max_index)
     routes = {
         "det": (expected_det_recursion, det_sequence_from_char),
         "perm": (expected_perm_recursion, expected_perm_from_char),
@@ -539,7 +543,8 @@ def stddev_trend(
 
     One simulate run per n, each on its own derived seed stream, and one
     ``_map_replicates`` call for the replicates of every n, so a trend
-    starts its child processes once. ``kind`` must be det or perm; a
+    starts its child processes once, and one moment matrix and one set of
+    power traces for every point. ``kind`` must be det or perm; a
     combined trajectory has no meaning here. Every n is validated, and its
     permanental path costed by ``_replicate_work``, before the first point
     is computed; a refusal names the smallest n over budget.
@@ -562,7 +567,7 @@ def stddev_trend(
     ]
     work = [args for config in configs for args in _replicate_work(config, op_budget)]
     results = iter(_map_replicates(threads, work))
-    return [
-        (config.n, _report(config, list(islice(results, reps))).stats_for(kind)[index - 1].normalized_stddev)
-        for config in configs
-    ]
+    matrix = moment_matrix(model)
+    traces = traces_by_power(matrix, index)
+    reports = (_report(config, list(islice(results, reps)), matrix, traces) for config in configs)
+    return [(report.n, report.stats_for(kind)[index - 1].normalized_stddev) for report in reports]

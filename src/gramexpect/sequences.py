@@ -16,12 +16,18 @@ they can police each other:
       sum a_n x^n / n! = exp(t_1 x - t_2 x^2/2 + t_3 x^3/3 - ...)
   and with all plus signs inside the exp for p_n.
 
-The recursion and the EGF are one recurrence: with q_n = a_n / n! the
-recursion reads (n+1) q_{n+1} = sum_j (-1)^j q_{n-j} t_{j+1}, the series
-exp's own. The recursion runs in that form, one signed product per term
-and one n! per a_n, while the EGF route builds the signed log series and
-calls ``TruncatedSeries.exp``: two implementations of one normalized
-recurrence. Only the closed form (Leverrier, then a series inverse) is
+With q_n = a_n / n! the recursion reads
+(n+1) q_{n+1} = sum_j (-1)^j q_{n-j} t_{j+1}, the series exp's own. The
+recursion runs in that form, one signed product per term and one n! per
+a_n. The EGF route and the char route's inverse put D x for x instead,
+D the ``scale`` of their ``TraceSequence`` or ``CharCoeffs`` (the lcm
+denominator of M): the log series has coefficients D^k t_k / k, integers
+over k, and 1 - c_1 D x + c_2 D^2 x^2 - ... has integer ones, so their
+coefficients are D^n a_n / n! or D^n p_n / n! with no powers of D in the
+denominators, and each output is n! [x^n] / D^n, one division. So
+the recursion and the EGF share a recurrence but not a normalization, and
+a slip in the scaling shows as a route mismatch. Any positive D gives the
+same values. Only the closed form (Leverrier, then a series inverse) is
 algorithmically independent.
 
 The cycle-weight sum generalizes both recursions to arbitrary weights, and
@@ -124,49 +130,59 @@ def det_sequence_from_char(coeffs: CharCoeffs, count: int) -> ExpectedSequence:
     return ExpectedSequence(KIND_DET, PATH_CHAR, tuple(values))
 
 
+def _unscaled(series: TruncatedSeries, scale: int) -> tuple[Fraction, ...]:
+    """n! [x^n] / D^n for each coefficient of a series expanded with D x for x, D = ``scale``: one gcd each."""
+    return tuple(Fraction(factorial(n) * q.numerator, q.denominator * scale**n) for n, q in enumerate(series.coeffs))
+
+
 def _alternating_char_series(coeffs: CharCoeffs, order: int) -> TruncatedSeries:
-    values = [coeffs[i] if i % 2 == 0 else -coeffs[i] for i in range(coeffs.dimension + 1)]
+    """1 - c_1 D x + c_2 D^2 x^2 - ... to order ``order``, D = ``coeffs.scale``: integers when D clears c."""
+    values = [(-coeffs.scale) ** i * coeffs[i] for i in range(coeffs.dimension + 1)]
     return TruncatedSeries.from_coefficients(values, order)
 
 
 def expected_perm_from_char(coeffs: CharCoeffs, count: int) -> ExpectedSequence:
     """p_0..p_count via inversion of the alternating coefficient series.
 
-    Builds 1 - c_1 x + c_2 x^2 - ... + (-1)^t c_t x^t, inverts it to order
-    ``count``, and scales coefficient n by n!.
+    Builds 1 - c_1 x + c_2 x^2 - ... + (-1)^t c_t x^t in the scaled variable
+    Dx, D = ``coeffs.scale``, inverts it to order ``count``, and takes
+    p_n = n! [x^n] / D^n.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     inverted = _alternating_char_series(coeffs, count).inverse()
-    values = tuple(factorial(n) * inverted.coefficient(n) for n in range(count + 1))
-    return ExpectedSequence(KIND_PERM, PATH_CHAR, values)
+    return ExpectedSequence(KIND_PERM, PATH_CHAR, _unscaled(inverted, coeffs.scale))
 
 
-def _egf_values(weights: Sequence[Fraction | int], count: int, signed: bool) -> tuple[Fraction, ...]:
+def _egf_values(weights: Sequence[Fraction | int], count: int, signed: bool, scale: int) -> tuple[Fraction, ...]:
     """n! [u^n] exp(sum_i X_i u^i / i) for n = 0..count, where X_i = weights[i - 1].
 
     With ``signed`` each X_i is replaced by (-1)^(i-1) X_i, the determinant
-    weighting.
+    weighting. The series is expanded with D x for u, D = ``scale``: it
+    takes exp(sum_i D^i X_i x^i / i), whose coefficient of x^n is D^n times
+    that of u^n, and divides by D^n once per output. When every D^i X_i is
+    an integer, as for power traces and their matrix's lcm denominator, the
+    coefficients carry no powers of D in their denominators.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if len(weights) < count:
         raise ValueError(f"need weights X_1..X_{count}, have {len(weights)}")
     log = [Fraction(0)] + [
-        Fraction(-x if signed and i % 2 == 0 else x, i) for i, x in enumerate(weights[:count], start=1)
+        Fraction(-x * scale**i if signed and i % 2 == 0 else x * scale**i, i)
+        for i, x in enumerate(weights[:count], start=1)
     ]
-    expanded = TruncatedSeries(tuple(log)).exp()
-    return tuple(factorial(n) * expanded.coefficient(n) for n in range(count + 1))
+    return _unscaled(TruncatedSeries(tuple(log)).exp(), scale)
 
 
 def egf_expand_det(traces: TraceSequence, count: int) -> ExpectedSequence:
-    """a_0..a_count as n! times the EGF coefficients."""
-    return ExpectedSequence(KIND_DET, PATH_EGF, _egf_values(traces.values, count, signed=True))
+    """a_0..a_count as n! times the EGF coefficients, expanded in the traces' scaled variable."""
+    return ExpectedSequence(KIND_DET, PATH_EGF, _egf_values(traces.values, count, signed=True, scale=traces.scale))
 
 
 def egf_expand_perm(traces: TraceSequence, count: int) -> ExpectedSequence:
-    """p_0..p_count as n! times the EGF coefficients, all-plus signs."""
-    return ExpectedSequence(KIND_PERM, PATH_EGF, _egf_values(traces.values, count, signed=False))
+    """p_0..p_count as n! times the EGF coefficients, all-plus signs, expanded in the traces' scaled variable."""
+    return ExpectedSequence(KIND_PERM, PATH_EGF, _egf_values(traces.values, count, signed=False, scale=traces.scale))
 
 
 def weighted_cycle_sum(weights: Sequence[Fraction | int], n: int, signed: bool = False) -> Fraction:
@@ -177,7 +193,7 @@ def weighted_cycle_sum(weights: Sequence[Fraction | int], n: int, signed: bool =
     replaced by (-1)^(i-1) X_i, which recovers the determinant weighting.
     At X_i = t_i this returns p_n (unsigned) or a_n (signed).
     """
-    return _egf_values(weights, n, signed)[n]
+    return _egf_values(weights, n, signed, scale=1)[n]
 
 
 def expected_coefficient(n: int, i: int, seq: ExpectedSequence) -> Fraction:

@@ -13,19 +13,29 @@ symmetric functions (the sampled coefficients in ``montecarlo``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .matrices import CharCoeffs, ExactMatrix, integer_scaled
+from .matrices import CharCoeffs, ExactMatrix, check_scale, integer_scaled
 
 
 @dataclass(frozen=True)
 class TraceSequence:
-    """Traces t_1..t_N of successive powers; indexing is 1-based like t_n."""
+    """Traces t_1..t_N of successive powers; indexing is 1-based like t_n.
+
+    ``scale`` is a positive int D, ideally one for which every D^k t_k is an
+    integer, as the matrix's lcm denominator is. The EGF route expands in Dx
+    with it. Any D gives the same values, so it only decides speed and takes
+    no part in equality.
+    """
 
     values: tuple[Fraction, ...]
+    scale: int = field(default=1, compare=False)
+
+    def __post_init__(self) -> None:
+        check_scale(self.scale)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -50,7 +60,7 @@ def traces_by_power(matrix: ExactMatrix, count: int) -> TraceSequence:
         if k > 1:
             power = [[sum(map(mul, row, column)) for column in columns] for row in power]
         values.append(Fraction(sum(power[i][i] for i in range(len(power))), scale**k))
-    return TraceSequence(tuple(values))
+    return TraceSequence(tuple(values), scale)
 
 
 def traces_from_char_coeffs(coeffs: CharCoeffs, count: int) -> TraceSequence:
@@ -76,7 +86,7 @@ def traces_from_char_coeffs(coeffs: CharCoeffs, count: int) -> TraceSequence:
             tail = n * coeffs[n]
             total += tail if n % 2 == 1 else -tail
         values.append(total)
-    return TraceSequence(tuple(values))
+    return TraceSequence(tuple(values), coeffs.scale)
 
 
 def integer_elementary_from_power_sums(power_sums: Sequence[int], count: int) -> list[int]:

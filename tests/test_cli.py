@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from random import Random
@@ -599,6 +600,31 @@ class TestTrendCommand:
         assert "n = 3000" in captured.err
         assert captured.out == ""
         assert elapsed < 1.0
+
+    def test_moments_and_traces_built_once_for_every_point(self, monkeypatch, capsys):
+        import gramexpect.models as models
+
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(models, "leverrier_char_coeffs")
+        counted(montecarlo, "traces_by_power")
+        argv = ["trend", "--paper", "--n-list", "4,5,6,7,8,9", "--reps", "3", "--index", "2"]
+        assert cli.main(argv) == 0
+        assert calls == {"leverrier_char_coeffs": 1, "traces_by_power": 1}
+        assert capsys.readouterr().out == (
+            '{"i":2,"kind":"det","points":[{"n":4,"stddev":365.69349390094635},{"n":5,"stddev":166.31789841545418},'
+            '{"n":6,"stddev":74.308934710287545},{"n":7,"stddev":213.20423921453255},'
+            '{"n":8,"stddev":104.61981909570981},{"n":9,"stddev":139.74956381477458}],"reps":3,"seed":0}\n'
+        )
 
     def test_accepted_perm_run_stdout_unchanged(self, capsys):
         argv = ["trend", "--paper", "--kind", "perm", "--index", "2", "--n-list", "10,20"]

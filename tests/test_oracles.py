@@ -4,6 +4,8 @@ from math import factorial, prod
 from random import Random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import gramexpect.matrices as matrices
 import gramexpect.oracles as oracles
@@ -11,8 +13,13 @@ from gramexpect import (
     DiscreteVectorDistribution,
     ExactMatrix,
     GuardExceeded,
+    det_sequence_from_char,
+    egf_expand_det,
+    egf_expand_perm,
     expected_det_recursion,
+    expected_perm_from_char,
     expected_perm_recursion,
+    moment_matrix,
     traces_by_power,
 )
 from gramexpect.matrices import gram
@@ -199,6 +206,29 @@ class TestBruteForce:
             perm_seq = expected_perm_recursion(traces, n)
             assert brute_force_expectation(dist, n, "det") == det_seq[n]
             assert brute_force_expectation(dist, n, "perm") == perm_seq[n]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    @seed(16)
+    def test_every_route_equals_enumeration_on_random_models(self, data):
+        # 1-4 atoms in t <= 3 with signed entries over denominators up to 6, some of
+        # probability zero: moment matrices with many different lcm denominators D.
+        t = data.draw(st.integers(1, 3), label="t")
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4).filter(any), label="weights")
+        vector = st.tuples(*[st.fractions(-3, 3, max_denominator=6)] * t)
+        vectors = data.draw(st.lists(vector, min_size=len(weights), max_size=len(weights)), label="vectors")
+        dist = DiscreteVectorDistribution.from_pairs([(v, F(w, sum(weights))) for v, w in zip(vectors, weights)])
+        matrix = moment_matrix(dist)
+        traces, coeffs = traces_by_power(matrix, 4), matrix.char_coeffs
+        routes = {
+            "det": (expected_det_recursion(traces, 4), det_sequence_from_char(coeffs, 4), egf_expand_det(traces, 4)),
+            "perm": (
+                expected_perm_recursion(traces, 4), expected_perm_from_char(coeffs, 4), egf_expand_perm(traces, 4)
+            ),
+        }
+        for kind, sequences in routes.items():
+            for n in range(5):
+                assert {seq[n] for seq in sequences} == {brute_force_expectation(dist, n, kind)}
 
     def test_guards(self, monkeypatch):
         dist = DiscreteVectorDistribution.from_pairs([((1,), "1/2"), ((2,), "1/2")])

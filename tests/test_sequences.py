@@ -1,10 +1,10 @@
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gramexpect import (
@@ -157,21 +157,21 @@ def paper_form_recursion(traces, count, signed):
     return tuple(values)
 
 
+# Moment matrices with lcm denominators D = 32, 36 and 24.
+ROUTE_MODELS = {
+    "paper": paper_model(),
+    # Signed rational atoms whose denominators have lcm 6.
+    "signed-atoms-d6": DiscreteVectorDistribution.from_pairs(
+        [((F(1, 2), F(-1, 3), 1), F(1, 3)), ((-1, 0, F(5, 6)), F(1, 2)), ((0, F(-2, 3), F(1, 2)), F(1, 6))]
+    ),
+    "compound": CompoundCountModel(probs=(F(1, 2), F(1, 3), F(1, 6)), ell_law=((1, F(1, 4)), (3, F(3, 4)))),
+}
+
+
 class TestNormalizedRecursion:
     """The recursion runs on q_n = a_n / n!; it must equal the paper's a_n form term for term."""
 
-    @pytest.mark.parametrize(
-        "model",
-        [
-            paper_model(),
-            # Signed rational atoms whose denominators have lcm D = 6.
-            DiscreteVectorDistribution.from_pairs(
-                [((F(1, 2), F(-1, 3), 1), F(1, 3)), ((-1, 0, F(5, 6)), F(1, 2)), ((0, F(-2, 3), F(1, 2)), F(1, 6))]
-            ),
-            CompoundCountModel(probs=(F(1, 2), F(1, 3), F(1, 6)), ell_law=((1, F(1, 4)), (3, F(3, 4)))),
-        ],
-        ids=["paper", "signed-atoms-d6", "compound"],
-    )
+    @pytest.mark.parametrize("model", ROUTE_MODELS.values(), ids=ROUTE_MODELS)
     def test_equal_to_the_paper_form_up_to_60(self, model):
         traces = traces_by_power(moment_matrix(model), 60)
         assert expected_det_recursion(traces, 60).values == paper_form_recursion(traces, 60, signed=True)
@@ -184,6 +184,68 @@ class TestNormalizedRecursion:
         count = len(values)
         assert expected_det_recursion(traces, count).values == paper_form_recursion(traces, count, signed=True)
         assert expected_perm_recursion(traces, count).values == paper_form_recursion(traces, count, signed=False)
+
+
+# Signed rationals with power-of-two denominators, so D = 3 never clears them.
+dyadic = st.builds(F, st.integers(-9, 9), st.sampled_from((1, 2, 4, 8)))
+
+
+def scales_for(values):
+    """Scale 1, the clearing lcm of the denominators, and 3, which clears none of 2, 4 or 8."""
+    return (1, lcm(*(v.denominator for v in values)), 3)
+
+
+class TestScaledVariable:
+    """The EGF and the char inverse expand in D x; any positive D gives the same values."""
+
+    @given(st.lists(dyadic, min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    @seed(28)
+    def test_egf_equals_its_scale_one_values_and_the_recursion(self, values):
+        count = len(values)
+        plain = TraceSequence(tuple(values))
+        det, perm = expected_det_recursion(plain, count).values, expected_perm_recursion(plain, count).values
+        for scale in scales_for(values):
+            traces = TraceSequence(tuple(values), scale)
+            assert egf_expand_det(traces, count).values == det
+            assert egf_expand_perm(traces, count).values == perm
+
+    @given(st.lists(dyadic, min_size=1, max_size=4), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    @seed(28)
+    def test_char_inverse_equals_its_scale_one_values_and_the_recursion(self, values, count):
+        plain = CharCoeffs((F(1), *values))
+        perm = expected_perm_recursion(traces_from_char_coeffs(plain, count), count).values
+        for scale in scales_for(values):
+            coeffs = CharCoeffs((F(1), *values), scale)
+            assert expected_perm_from_char(coeffs, count).values == perm
+            traces = traces_from_char_coeffs(coeffs, count)
+            assert traces.scale == scale
+            assert egf_expand_perm(traces, count).values == perm
+
+    @pytest.mark.parametrize("scale", [0, -2, True, 2.0, "2"])
+    def test_scale_must_be_a_positive_int(self, scale):
+        with pytest.raises(ValueError, match="scale must be a positive int"):
+            TraceSequence((F(1),), scale)
+        with pytest.raises(ValueError, match="scale must be a positive int"):
+            CharCoeffs((F(1), F(1)), scale)
+
+    def test_scale_takes_no_part_in_equality(self):
+        values = (F(1, 2), F(3, 4))
+        assert TraceSequence(values, 4) == TraceSequence(values)
+        assert hash(TraceSequence(values, 4)) == hash(TraceSequence(values))
+        assert CharCoeffs((F(1), *values), 4) == CharCoeffs((F(1), *values))
+        assert hash(CharCoeffs((F(1), *values), 4)) == hash(CharCoeffs((F(1), *values)))
+
+    @pytest.mark.parametrize("model", ROUTE_MODELS.values(), ids=ROUTE_MODELS)
+    def test_the_matrix_scale_clears_every_trace_and_coefficient(self, model):
+        # A lost scale would change only the speed, so this is the test that notices it.
+        matrix = moment_matrix(model)
+        traces, coeffs = traces_by_power(matrix, 12), matrix.char_coeffs
+        assert traces.scale == coeffs.scale == lcm(*(v.denominator for row in matrix.entries for v in row)) > 1
+        assert all((traces.scale**k * traces[k]).denominator == 1 for k in range(1, 13))
+        assert all((coeffs.scale**i * coeffs[i]).denominator == 1 for i in range(len(coeffs)))
+        assert traces_from_char_coeffs(coeffs, 12).scale == coeffs.scale
 
 
 class TestCharClosedForm:
